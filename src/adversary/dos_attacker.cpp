@@ -103,6 +103,10 @@ crypto::SymmetricKey HandshakeFloodSource::ReceiverKeySource::key_for(
   return receiver->shared_key(node_id(sender));
 }
 
+const void* HandshakeFloodSource::ReceiverKeySource::domain() const noexcept {
+  return receiver->oracle();
+}
+
 HandshakeFloodSource::HandshakeFloodSource(const core::WireConfig& wire,
                                            std::uint64_t authority_seed,
                                            std::uint32_t peer_count,

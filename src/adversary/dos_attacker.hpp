@@ -140,6 +140,7 @@ class HandshakeFloodSource {
     const crypto::IbcPrivateKey* receiver = nullptr;
     [[nodiscard]] std::uint64_t cache_key(std::uint32_t sender) const noexcept override;
     [[nodiscard]] crypto::SymmetricKey key_for(std::uint32_t sender) const override;
+    [[nodiscard]] const void* domain() const noexcept override;
   };
 
   [[nodiscard]] FloodFrame make_frame(FloodFrameKind kind);

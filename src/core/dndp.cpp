@@ -1,6 +1,7 @@
 #include "core/dndp.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "crypto/session_code.hpp"
 #include "obs/event_log.hpp"
@@ -10,12 +11,6 @@
 namespace jrsnd::core {
 
 namespace {
-
-std::vector<CodeId> intersect_sorted(const std::vector<CodeId>& a, const std::vector<CodeId>& b) {
-  std::vector<CodeId> out;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
-  return out;
-}
 
 WireConfig wire_from_params(const Params& params) noexcept {
   WireConfig wire;
@@ -77,65 +72,75 @@ std::optional<BitVector> DndpEngine::transmit_with_retry(
   }
 }
 
-std::optional<DndpEngine::SubsessionOutcome> DndpEngine::run_subsession(
-    NodeState& a, NodeState& b, CodeId code, const BitVector& nonce_a,
-    const BitVector& nonce_b, HandshakeStateMachine& hs, DndpResult& result) {
+bool DndpEngine::run_subsession(NodeState& a, NodeState& b, CodeId code,
+                                const BitVector& nonce_a, const BitVector& nonce_b,
+                                HandshakeStateMachine& hs, DndpResult& result,
+                                SubsessionOutcome* outcome) {
   const TxCode tx{code, &a.code_pattern(code)};
-  SubsessionOutcome outcome;
 
   // 2. B -> A: {CONFIRM, ID_B}_{C_i}.
   const ConfirmMessage confirm{b.id()};
   const auto confirm_rx = transmit_with_retry(hs, a.id(), b.id(), code, b.id(),
                                               a.id(), tx, TxClass::Confirm,
                                               confirm.encode(wire_));
-  if (!confirm_rx) return std::nullopt;
+  if (!confirm_rx) return false;
   const auto confirm_decoded = ConfirmMessage::decode(*confirm_rx, wire_);
   if (!confirm_decoded) {
     result.mac_failure = true;  // malformed after successful delivery: tampering
     obs::set_loss_reason(obs::LossStage::Corrupt);
-    return std::nullopt;
+    return false;
   }
   const NodeId id_b = confirm_decoded->sender;  // A now knows B's claimed ID
 
-  // 3. A -> B: {ID_A, n_A, f_{K_AB}(ID_A | n_A)}_{C_i}.
-  const crypto::SymmetricKey key_ab = a.key().shared_key(id_b);
-  const AuthMessage auth1 = AuthMessage::make(a.id(), nonce_a, key_ab, wire_);
+  // 3. A -> B: {ID_A, n_A, f_{K_AB}(ID_A | n_A)}_{C_i}. A derives K_AB once
+  // per attempt (re-derived only if another sub-session's CONFIRM claims a
+  // different ID); the slot is filed under A's private key, not its claim.
+  if (!slot_ || slot_->cache_key != HandshakeVerifier::pair_cache_key(a.key().id(), id_b)) {
+    slot_ = HandshakeVerifier::peer_key(a.key(), id_b);
+  }
+  const crypto::PeerKey& key_ab = *slot_;
+  const AuthMessage auth1 = AuthMessage::make(a.id(), nonce_a, key_ab.schedule, wire_);
   const auto auth1_rx = transmit_with_retry(hs, a.id(), b.id(), code, a.id(),
                                             b.id(), tx, TxClass::Auth,
                                             auth1.encode(wire_));
-  if (!auth1_rx) return std::nullopt;
+  if (!auth1_rx) return false;
 
   // B verifies through the staged early-reject pipeline (length -> format ->
-  // code -> MAC, per-peer key schedule cached): equal MACs prove A holds the
-  // key the authority issued for ID_A (mutual authentication, paper §V-B).
-  // Only a MAC-stage reject is attributed to tampering; a frame that fails
-  // the cheap stages is a decode failure, exactly as before.
-  const AuthVerdict auth1_v = verifier_.verify_auth(*auth1_rx, code, code, b.key());
+  // code -> MAC): equal MACs prove A holds the key the authority issued for
+  // ID_A (mutual authentication, paper §V-B). The slot stands in for B's
+  // peer-cache lookup only when it files under B's {ID_B, claimed ID_A}
+  // pair and B's issuing authority — i.e. when it IS the key B would
+  // derive. Only a MAC-stage reject
+  // is attributed to tampering; a frame that fails the cheap stages is a
+  // decode failure, exactly as before.
+  const AuthVerdict auth1_v = verifier_.verify_auth(*auth1_rx, code, code, b.key(), &key_ab);
   if (!auth1_v.accepted()) {
     if (auth1_v.mac_rejected()) result.mac_failure = true;
     obs::set_loss_reason(obs::LossStage::Corrupt);
-    return std::nullopt;
+    return false;
   }
-  const crypto::SymmetricKey key_ba = auth1_v.key;
 
-  // 4. B -> A: {ID_B, n_B, f_{K_BA}(ID_B | n_B)}_{C_i}.
-  const AuthMessage auth2 = AuthMessage::make(b.id(), nonce_b, key_ba, wire_);
+  // 4. B -> A: {ID_B, n_B, f_{K_BA}(ID_B | n_B)}_{C_i}, under the key
+  // schedule B's verify accepted with.
+  const AuthMessage auth2 = AuthMessage::make(b.id(), nonce_b, *auth1_v.schedule, wire_);
   const auto auth2_rx = transmit_with_retry(hs, a.id(), b.id(), code, b.id(),
                                             a.id(), tx, TxClass::Auth,
                                             auth2.encode(wire_));
-  if (!auth2_rx) return std::nullopt;
-  const AuthVerdict auth2_v = verifier_.verify_auth(*auth2_rx, code, code, a.key());
+  if (!auth2_rx) return false;
+  const AuthVerdict auth2_v = verifier_.verify_auth(*auth2_rx, code, code, a.key(), &key_ab);
   if (!auth2_v.accepted()) {
     if (auth2_v.mac_rejected()) result.mac_failure = true;
     obs::set_loss_reason(obs::LossStage::Corrupt);
-    return std::nullopt;
+    return false;
   }
 
   // Both ends derive C_AB = h_{K}(n_A ^ n_B); XOR makes it symmetric.
-  outcome.key_ab = key_ab;
-  outcome.session_code = crypto::derive_session_code(key_ab, auth1_v.nonce,
-                                                     auth2_v.nonce, params_.N);
-  return outcome;
+  if (outcome != nullptr) {
+    outcome->key_ab = key_ab.raw;
+    outcome->session_code = crypto::derive_session_code(key_ab.schedule, auth1_v.nonce,
+                                                        auth2_v.nonce, params_.N);
+  }
+  return true;
 }
 
 DndpResult DndpEngine::run(NodeState& a, NodeState& b) {
@@ -151,9 +156,13 @@ DndpResult DndpEngine::run(NodeState& a, NodeState& b) {
   root.with_u64("b", raw(b.id()));
   (void)obs::take_loss_reason();  // start the attempt with a clean channel
 
-  std::vector<CodeId> shared = intersect_sorted(a.usable_codes(), b.usable_codes());
-  result.shared_codes = static_cast<std::uint32_t>(shared.size());
-  if (shared.empty()) {
+  slot_.reset();
+  shared_.clear();
+  std::set_intersection(a.usable_codes().begin(), a.usable_codes().end(),
+                        b.usable_codes().begin(), b.usable_codes().end(),
+                        std::back_inserter(shared_));
+  result.shared_codes = static_cast<std::uint32_t>(shared_.size());
+  if (shared_.empty()) {
     JRSND_COUNT("dndp.no_shared_code");
     JRSND_COUNT("dndp.failed");
     root.set_ok(false);
@@ -169,7 +178,7 @@ DndpResult DndpEngine::run(NodeState& a, NodeState& b) {
   // The naive (non-redundant) variant lets B pick one random code among the
   // HELLOs it received; iterating a random permutation and stopping at the
   // first delivered HELLO selects uniformly among them.
-  if (!redundancy_) b.rng().shuffle(std::span<CodeId>(shared));
+  if (!redundancy_) b.rng().shuffle(std::span<CodeId>(shared_));
 
   // The retry discipline measures timeouts on the initiator's local clock;
   // with no fault layer attached every clock runs at the nominal rate.
@@ -179,7 +188,8 @@ DndpResult DndpEngine::run(NodeState& a, NodeState& b) {
   std::uint32_t attempted = 0;
   obs::LossStage last_loss = obs::LossStage::None;
   Duration elapsed_total{0.0};
-  for (const CodeId code : shared) {
+  SubsessionOutcome candidate;
+  for (const CodeId code : shared_) {
     JRSND_COUNT("dndp.subsessions.started");
     ++attempted;
     phy_.begin_subsession(a.id(), b.id(), code);
@@ -203,12 +213,12 @@ DndpResult DndpEngine::run(NodeState& a, NodeState& b) {
     }
     if (hello_decoded) {
       ++result.hellos_delivered;
-      const auto outcome = run_subsession(a, b, code, nonce_a, nonce_b, hs, result);
-      if (outcome.has_value()) {
+      if (run_subsession(a, b, code, nonce_a, nonce_b, hs, result,
+                         winner.has_value() ? nullptr : &candidate)) {
         ++result.subsessions_completed;
         sub_ok = true;
         if (!winner.has_value()) {
-          winner = outcome;
+          winner = std::move(candidate);
           result.winning_code = code;
         }
       }

@@ -60,15 +60,18 @@ class DndpEngine {
   DndpResult run(NodeState& a, NodeState& b);
 
  private:
-  /// Executes messages 2-4 of one sub-session on code `code`; returns the
-  /// session information derived, or nullopt if any message is lost.
+  /// Executes messages 2-4 of one sub-session on code `code`; returns false
+  /// if any message is lost or rejected. On success with `outcome` given
+  /// (the attempt's first complete sub-session), fills in K_AB and derives
+  /// the session code — later sub-sessions would derive the same one.
   struct SubsessionOutcome {
     crypto::SymmetricKey key_ab{};
     BitVector session_code;
   };
-  [[nodiscard]] std::optional<SubsessionOutcome> run_subsession(
-      NodeState& a, NodeState& b, CodeId code, const BitVector& nonce_a,
-      const BitVector& nonce_b, HandshakeStateMachine& hs, DndpResult& result);
+  [[nodiscard]] bool run_subsession(NodeState& a, NodeState& b, CodeId code,
+                                    const BitVector& nonce_a, const BitVector& nonce_b,
+                                    HandshakeStateMachine& hs, DndpResult& result,
+                                    SubsessionOutcome* outcome);
 
   /// One handshake message with the retry discipline: on transmission loss,
   /// waits out the stage timeout, re-arms the sub-session's jamming fate
@@ -91,6 +94,12 @@ class DndpEngine {
   const HandshakeClock* clock_;
   std::uint64_t trace_salt_;  ///< retry_seed; keys per-attempt trace ids
   std::uint64_t attempts_ = 0;
+  /// Per-attempt scratch: the shared usable codes, and the derive-once K_AB
+  /// slot — the initiator's key for the CONFIRM's claimed ID, built on first
+  /// use and reused by every later sub-session's MACs, verifies and session
+  /// code.
+  std::vector<CodeId> shared_;
+  std::optional<crypto::PeerKey> slot_;
 };
 
 }  // namespace jrsnd::core

@@ -114,27 +114,40 @@ crypto::VerifyWire verify_wire_from(const WireConfig& wire) noexcept {
 
 }  // namespace
 
-std::uint64_t HandshakeVerifier::PairSource::cache_key(std::uint32_t sender) const noexcept {
-  const std::uint32_t self = raw(receiver->id());
-  const std::uint32_t lo = std::min(self, sender);
-  const std::uint32_t hi = std::max(self, sender);
+std::uint64_t HandshakeVerifier::pair_cache_key(NodeId a, NodeId b) noexcept {
+  const std::uint32_t lo = std::min(raw(a), raw(b));
+  const std::uint32_t hi = std::max(raw(a), raw(b));
   return (std::uint64_t{lo} << 32) | hi;
+}
+
+std::uint64_t HandshakeVerifier::PairSource::cache_key(std::uint32_t sender) const noexcept {
+  return pair_cache_key(receiver->id(), node_id(sender));
 }
 
 crypto::SymmetricKey HandshakeVerifier::PairSource::key_for(std::uint32_t sender) const {
   return receiver->shared_key(node_id(sender));
 }
 
+const void* HandshakeVerifier::PairSource::domain() const noexcept {
+  return receiver->oracle();
+}
+
 HandshakeVerifier::HandshakeVerifier(const WireConfig& wire)
     : queue_(verify_wire_from(wire)) {}
 
+crypto::PeerKey HandshakeVerifier::peer_key(const crypto::IbcPrivateKey& holder, NodeId peer) {
+  return crypto::PeerKey(pair_cache_key(holder.id(), peer), holder.shared_key(peer),
+                         holder.oracle());
+}
+
 AuthVerdict HandshakeVerifier::verify_auth(const BitVector& frame, CodeId frame_code,
                                            CodeId expected_code,
-                                           const crypto::IbcPrivateKey& receiver) {
+                                           const crypto::IbcPrivateKey& receiver,
+                                           const crypto::PeerKey* slot) {
   JRSND_PERF_REGION("dndp.verify.batch");
   source_.receiver = &receiver;
   const crypto::VerifyResult result =
-      queue_.verify_now(frame, raw(frame_code), raw(expected_code), source_);
+      queue_.verify_now(frame, raw(frame_code), raw(expected_code), source_, slot);
   AuthVerdict verdict;
   verdict.stage = result.stage;
   if (result.stage != crypto::VerifyStage::RejectLength &&
@@ -145,6 +158,7 @@ AuthVerdict HandshakeVerifier::verify_auth(const BitVector& frame, CodeId frame_
     const crypto::VerifyWire& w = queue_.wire();
     verdict.nonce = frame.slice(std::size_t{w.l_t} + w.l_id, w.l_n);
     verdict.key = result.key;
+    verdict.schedule = result.schedule;
   }
   return verdict;
 }

@@ -148,6 +148,9 @@ struct AuthVerdict {
   NodeId sender = kInvalidNode;
   BitVector nonce;             ///< l_n bits, Accept only
   crypto::SymmetricKey key{};  ///< pairwise key the MAC verified under, Accept only
+  /// That key's HMAC schedule, Accept only; valid until the verifier's next
+  /// call. The responder MACs its reply under it.
+  const crypto::HmacKey* schedule = nullptr;
 
   [[nodiscard]] bool accepted() const noexcept {
     return stage == crypto::VerifyStage::Accept;
@@ -169,12 +172,30 @@ class HandshakeVerifier {
  public:
   explicit HandshakeVerifier(const WireConfig& wire);
 
+  /// The cache key of the unordered ID pair {a, b} a symmetric IBC key
+  /// belongs to.
+  [[nodiscard]] static std::uint64_t pair_cache_key(NodeId a, NodeId b) noexcept;
+
+  /// The pairwise key `holder` derives for `peer`, filed under the IBC key
+  /// pair it belongs to — pair_cache_key(holder.id(), peer) — and under the
+  /// authority that issued `holder`. Keyed on the private key's identity and
+  /// issuer, never on an ID a node merely claims, so neither a captured key
+  /// claiming someone else's ID nor a key from a foreign authority can plant
+  /// its key under the victim pair. This is the D-NDP engine's derive-once
+  /// slot.
+  [[nodiscard]] static crypto::PeerKey peer_key(const crypto::IbcPrivateKey& holder,
+                                                NodeId peer);
+
   /// Verifies one received AUTH frame claimed to arrive on `frame_code`
   /// while the receiver listens on `expected_code`, under `receiver`'s IBC
   /// key. Allocation-free on every reject path once the peer cache is warm.
+  /// `slot` (from peer_key) is used instead of the peer cache when it files
+  /// under the frame's {receiver, sender} pair and `receiver`'s authority;
+  /// see VerifyQueue::verify_now.
   [[nodiscard]] AuthVerdict verify_auth(const BitVector& frame, CodeId frame_code,
                                         CodeId expected_code,
-                                        const crypto::IbcPrivateKey& receiver);
+                                        const crypto::IbcPrivateKey& receiver,
+                                        const crypto::PeerKey* slot = nullptr);
 
   /// Batched form for flood scenarios: verifies `frames` (all on the same
   /// code pair) in one drain, one VerifyResult per frame into `out`.
@@ -188,14 +209,16 @@ class HandshakeVerifier {
 
  private:
   /// Pairwise-key source over the receiver's IBC private key. The cache key
-  /// packs the unordered {receiver, sender} pair, which is exactly what the
-  /// symmetric shared_key depends on — so one engine's cache is shared
-  /// between both handshake directions.
+  /// packs the unordered {receiver, sender} pair and the domain is the
+  /// receiver's issuing authority, which is exactly what the symmetric
+  /// shared_key depends on — so one engine's cache is shared between both
+  /// handshake directions, and never across authorities.
   struct PairSource final : public crypto::KeySource {
     const crypto::IbcPrivateKey* receiver = nullptr;
 
     [[nodiscard]] std::uint64_t cache_key(std::uint32_t sender) const noexcept override;
     [[nodiscard]] crypto::SymmetricKey key_for(std::uint32_t sender) const override;
+    [[nodiscard]] const void* domain() const noexcept override;
   };
 
   crypto::VerifyQueue queue_;

@@ -1,9 +1,12 @@
 #include "core/messages.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <stdexcept>
 
 #include "crypto/hmac.hpp"
+#include "crypto/mac_input.hpp"
 
 namespace jrsnd::core {
 
@@ -158,24 +161,31 @@ std::optional<ConfirmMessage> ConfirmMessage::decode(const BitVector& bits,
 
 // --- AuthMessage ------------------------------------------------------------
 
-std::vector<std::uint8_t> AuthMessage::mac_input(NodeId sender, const BitVector& nonce) {
-  BitVector bv;
-  bv.append_uint(raw(sender), 32);
-  bv.append(nonce);
-  return bv.to_bytes();
+crypto::Sha256Digest AuthMessage::compute_mac(NodeId sender, const BitVector& nonce,
+                                              const crypto::HmacKey& key) {
+  if (nonce.size() > 64) throw std::invalid_argument("AuthMessage: nonce wider than 64 bits");
+  std::array<std::uint8_t, crypto::kMaxAuthMacInputBytes> input;
+  const std::size_t len = crypto::pack_auth_mac_input(
+      raw(sender), nonce.empty() ? 0 : nonce.read_uint(0, nonce.size()), nonce.size(), input);
+  return key.mac(std::span<const std::uint8_t>(input.data(), len));
 }
 
 AuthMessage AuthMessage::make(NodeId sender, BitVector nonce, const crypto::SymmetricKey& key,
+                              const WireConfig& cfg) {
+  return make(sender, std::move(nonce), crypto::HmacKey(key), cfg);
+}
+
+AuthMessage AuthMessage::make(NodeId sender, BitVector nonce, const crypto::HmacKey& key,
                               const WireConfig& /*cfg*/) {
   AuthMessage msg;
   msg.sender = sender;
-  msg.mac = crypto::compute_mac(key, mac_input(sender, nonce));
+  msg.mac = compute_mac(sender, nonce, key);
   msg.nonce = std::move(nonce);
   return msg;
 }
 
 bool AuthMessage::verify(const crypto::SymmetricKey& key, const WireConfig& cfg) const {
-  const crypto::Sha256Digest expected = crypto::compute_mac(key, mac_input(sender, nonce));
+  const crypto::Sha256Digest expected = compute_mac(sender, nonce, crypto::HmacKey(key));
   // Compare over the wire width (the receiver only ever saw l_mac bits).
   return truncate_digest(expected, cfg.l_mac) == truncate_digest(mac, cfg.l_mac);
 }

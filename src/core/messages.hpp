@@ -74,9 +74,14 @@ struct AuthMessage {
   BitVector nonce;           ///< l_n bits
   crypto::Sha256Digest mac{};  ///< truncated to l_mac bits on the wire
 
-  /// Computes the MAC f_K(ID | nonce) and assembles the message.
+  /// Computes the MAC f_K(ID | nonce) and assembles the message. The nonce
+  /// is at most 64 bits (l_n, Table I: 20), so the MAC input is a fixed
+  /// 12-byte buffer; std::invalid_argument otherwise.
   [[nodiscard]] static AuthMessage make(NodeId sender, BitVector nonce,
                                         const crypto::SymmetricKey& key, const WireConfig& cfg);
+  /// Same, from a prepared key schedule: two compressions, no key setup.
+  [[nodiscard]] static AuthMessage make(NodeId sender, BitVector nonce,
+                                        const crypto::HmacKey& key, const WireConfig& cfg);
 
   /// Recomputes the MAC under `key` and compares with the received one
   /// (over the l_mac wire bits).
@@ -90,8 +95,8 @@ struct AuthMessage {
   }
 
  private:
-  [[nodiscard]] static std::vector<std::uint8_t> mac_input(NodeId sender,
-                                                           const BitVector& nonce);
+  [[nodiscard]] static crypto::Sha256Digest compute_mac(NodeId sender, const BitVector& nonce,
+                                                        const crypto::HmacKey& key);
 };
 
 // --- M-NDP messages --------------------------------------------------------

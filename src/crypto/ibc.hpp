@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "crypto/hmac.hpp"
 #include "crypto/prf.hpp"
 #include "crypto/sha256.hpp"
 
@@ -56,18 +57,25 @@ class PairingOracle {
   friend class IbcAuthority;
   friend class IbcPrivateKey;
 
-  explicit PairingOracle(SymmetricKey master) noexcept : master_(master) {}
+  explicit PairingOracle(const SymmetricKey& master) noexcept : master_(master) {}
 
+  /// Each derivation is one HMAC over a fixed on-stack input from the
+  /// master's cached midstates: two compressions, no heap allocation.
   [[nodiscard]] SymmetricKey pair_key(NodeId a, NodeId b) const noexcept;
   [[nodiscard]] SymmetricKey sign_key(NodeId id) const noexcept;
 
-  SymmetricKey master_;
+  HmacKey master_;  ///< the master secret's ipad/opad midstates
 };
 
 /// A node's ID-based private key K_A^{-1}. Only the authority mints these.
 class IbcPrivateKey {
  public:
   [[nodiscard]] NodeId id() const noexcept { return id_; }
+
+  /// The public parameters of the authority that issued this key. Keys from
+  /// different authorities holding the same ID derive different K_AB, so
+  /// anything cached per ID pair must also be filed under this.
+  [[nodiscard]] const PairingOracle* oracle() const noexcept { return oracle_.get(); }
 
   /// Non-interactive shared-key agreement: K_AB from (this key, peer ID).
   /// Symmetric: A.shared_key(B) == B.shared_key(A).
@@ -100,10 +108,5 @@ class IbcAuthority {
  private:
   std::shared_ptr<const PairingOracle> oracle_;
 };
-
-/// Message authentication code f_K(.) used in the D-NDP handshake:
-/// HMAC-SHA-256 under the pairwise IBC key.
-[[nodiscard]] Sha256Digest compute_mac(const SymmetricKey& key,
-                                       std::span<const std::uint8_t> message) noexcept;
 
 }  // namespace jrsnd::crypto

@@ -11,15 +11,21 @@
 #include <cstddef>
 
 #include "common/bit_vector.hpp"
+#include "crypto/hmac.hpp"
 #include "crypto/prf.hpp"
 
 namespace jrsnd::crypto {
 
 /// Derives the N-bit session spread code from the pairwise key and the two
 /// session nonces. `nonce_a` and `nonce_b` must have equal bit length
-/// (l_n bits each per Table I).
+/// (l_n bits each per Table I), at most 64; std::invalid_argument otherwise.
 [[nodiscard]] BitVector derive_session_code(const SymmetricKey& pair_key,
                                             const BitVector& nonce_a, const BitVector& nonce_b,
+                                            std::size_t code_length_chips);
+
+/// Same, from the pairwise key's prepared schedule (no key setup per call).
+[[nodiscard]] BitVector derive_session_code(const HmacKey& pair_key, const BitVector& nonce_a,
+                                            const BitVector& nonce_b,
                                             std::size_t code_length_chips);
 
 }  // namespace jrsnd::crypto

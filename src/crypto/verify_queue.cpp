@@ -4,34 +4,19 @@
 #include <array>
 #include <cassert>
 
+#include "crypto/mac_input.hpp"
 #include "obs/metrics_registry.hpp"
 
 namespace jrsnd::crypto {
 
 namespace {
 
-/// MAC input layout shared with AuthMessage::mac_input: the sender ID as a
-/// 32-bit big-endian field, then the l_n nonce bits, MSB-first, zero-padded
-/// to a byte boundary. 32 + 64 nonce bits is the ceiling -> 12 bytes.
-constexpr std::size_t kMaxMacInputBytes = 12;
-
+/// The AUTH MAC input rebuilt from a wire frame (layout: crypto/mac_input.hpp).
 std::size_t build_mac_input(const VerifyWire& wire, const BitVector& frame,
                             std::uint32_t sender,
-                            std::array<std::uint8_t, kMaxMacInputBytes>& out) noexcept {
-  out.fill(0);
-  out[0] = static_cast<std::uint8_t>(sender >> 24);
-  out[1] = static_cast<std::uint8_t>(sender >> 16);
-  out[2] = static_cast<std::uint8_t>(sender >> 8);
-  out[3] = static_cast<std::uint8_t>(sender);
-  // The nonce starts at bit 32 of the input — byte-aligned, so it packs as a
-  // left-justified big-endian field.
-  const std::uint64_t nonce = frame.read_uint(wire.l_t + wire.l_id, wire.l_n);
-  const std::size_t nonce_bytes = (wire.l_n + 7) / 8;
-  const std::uint64_t shifted = nonce << (nonce_bytes * 8 - wire.l_n);
-  for (std::size_t i = 0; i < nonce_bytes; ++i) {
-    out[4 + i] = static_cast<std::uint8_t>(shifted >> (8 * (nonce_bytes - 1 - i)));
-  }
-  return 4 + nonce_bytes;
+                            std::array<std::uint8_t, kMaxAuthMacInputBytes>& out) noexcept {
+  return pack_auth_mac_input(sender, frame.read_uint(wire.l_t + wire.l_id, wire.l_n), wire.l_n,
+                             out);
 }
 
 }  // namespace
@@ -88,7 +73,7 @@ bool VerifyQueue::cheap_stages(const Pending& p, VerifyResult& out,
 
 bool VerifyQueue::mac_matches(const BitVector& frame, std::uint32_t sender,
                               const HmacKey& schedule) const noexcept {
-  std::array<std::uint8_t, kMaxMacInputBytes> input;
+  std::array<std::uint8_t, kMaxAuthMacInputBytes> input;
   const std::size_t input_len = build_mac_input(wire_, frame, sender, input);
   const Sha256Digest expected =
       schedule.mac(std::span<const std::uint8_t>(input.data(), input_len));
@@ -118,22 +103,24 @@ bool VerifyQueue::wire_mac_equals(const BitVector& frame,
   return diff == 0;
 }
 
-const VerifyQueue::CachedKey& VerifyQueue::resolve_key(std::uint64_t cache_key,
-                                                       std::uint32_t sender,
-                                                       const KeySource& source,
-                                                       DrainCounts& counts) {
+const PeerKey& VerifyQueue::resolve_key(std::uint64_t cache_key, std::uint32_t sender,
+                                        const KeySource& source, DrainCounts& counts) {
+  const void* domain = source.domain();
   const auto it = keys_.find(cache_key);
-  if (it != keys_.end()) {
+  if (it != keys_.end() && it->second.domain == domain) {
     ++counts.cache_hits;
     return it->second;
   }
   ++counts.cache_misses;
-  const SymmetricKey raw = source.key_for(sender);
-  const HmacKey schedule(std::span<const std::uint8_t>(raw.data(), raw.size()));
-  if (keys_.size() < kMaxCachedPeers) {
-    return keys_.emplace(cache_key, CachedKey{raw, schedule}).first->second;
+  const PeerKey entry(cache_key, source.key_for(sender), domain);
+  if (it != keys_.end()) {
+    // Same ID pair, other authority: a different key. Within one drain every
+    // frame shares the source, so no pending lane still points at this entry.
+    it->second = entry;
+    return it->second;
   }
-  overflow_ = CachedKey{raw, schedule};
+  if (keys_.size() < kMaxCachedPeers) return keys_.emplace(cache_key, entry).first->second;
+  overflow_ = entry;
   return overflow_;
 }
 
@@ -167,9 +154,9 @@ std::size_t VerifyQueue::drain(const KeySource& source, std::vector<VerifyResult
   // eight are pending, then one HmacKey::mac_x8 call settles all eight.
   // Leftovers fall back to the scalar midstate path — same digests.
   const HmacKey* lane_keys[kSha256Lanes];
-  const CachedKey* lane_entries[kSha256Lanes];
+  const PeerKey* lane_entries[kSha256Lanes];
   std::uint32_t lane_frame[kSha256Lanes];
-  std::array<std::uint8_t, kMaxMacInputBytes> lane_msgs[kSha256Lanes];
+  std::array<std::uint8_t, kMaxAuthMacInputBytes> lane_msgs[kSha256Lanes];
   std::size_t lane_lens[kSha256Lanes];
   std::size_t lanes = 0;
 
@@ -204,7 +191,7 @@ std::size_t VerifyQueue::drain(const KeySource& source, std::vector<VerifyResult
   while (g < mac_scratch_.size()) {
     const std::uint64_t group_key = mac_scratch_[g].cache_key;
     const std::uint32_t group_sender = out[mac_scratch_[g].index].sender;
-    const CachedKey& entry = resolve_key(group_key, group_sender, source, counts);
+    const PeerKey& entry = resolve_key(group_key, group_sender, source, counts);
     for (; g < mac_scratch_.size() && mac_scratch_[g].cache_key == group_key; ++g) {
       const std::uint32_t idx = mac_scratch_[g].index;
       lane_entries[lanes] = &entry;
@@ -237,16 +224,22 @@ std::size_t VerifyQueue::drain(const KeySource& source, std::vector<VerifyResult
 }
 
 VerifyResult VerifyQueue::verify_now(const BitVector& frame, std::uint32_t frame_code,
-                                     std::uint32_t expected_code, const KeySource& source) {
+                                     std::uint32_t expected_code, const KeySource& source,
+                                     const PeerKey* slot) {
   DrainCounts counts;
   VerifyResult result;
   const Pending p{&frame, frame_code, expected_code};
   if (cheap_stages(p, result, counts)) {
-    const CachedKey& entry =
-        resolve_key(source.cache_key(result.sender), result.sender, source, counts);
+    const std::uint64_t cache_key = source.cache_key(result.sender);
+    const bool slot_hit = slot != nullptr && slot->cache_key == cache_key &&
+                          slot->domain == source.domain();
+    if (slot_hit) ++counts.cache_hits;
+    const PeerKey& entry =
+        slot_hit ? *slot : resolve_key(cache_key, result.sender, source, counts);
     if (mac_matches(frame, result.sender, entry.schedule)) {
       result.stage = VerifyStage::Accept;
       result.key = entry.raw;
+      result.schedule = &entry.schedule;
       ++counts.accepted;
     } else {
       result.stage = VerifyStage::RejectMac;

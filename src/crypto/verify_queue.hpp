@@ -3,8 +3,8 @@
 // A receiver under a verification-flooding DoS sees a stream of AUTH frames,
 // most of them garbage. The one-at-a-time path pays the full cost for every
 // frame: BitVector decode (several allocations), a fresh pairwise-key
-// derivation (4 SHA-256 compressions through the pairing oracle), and a raw
-// hmac_sha256 (4 more compressions). VerifyQueue restructures that work
+// derivation (2 SHA-256 compressions off the pairing oracle's cached master
+// midstates), and a raw hmac_sha256 (4 more compressions). VerifyQueue restructures that work
 // cheapest-check-first over a batch:
 //
 //   1. length  — frame size != l_t + l_id + l_n + l_mac      (integer compare)
@@ -65,22 +65,43 @@ enum class VerifyStage : std::uint8_t {
 
 /// Per-frame verdict. `sender` is the decoded l_id-bit ID field (valid from
 /// RejectCode onward — earlier stages never parse it). `key` is the pairwise
-/// key the MAC verified under, populated only on Accept.
+/// key the MAC verified under, populated only on Accept; verify_now() also
+/// sets `schedule` to that key's HMAC schedule (see there).
 struct VerifyResult {
   VerifyStage stage = VerifyStage::RejectLength;
   std::uint32_t sender = 0;
   SymmetricKey key{};
+  const HmacKey* schedule = nullptr;
+};
+
+/// A pairwise key ready for MAC work: the KeySource cache key and key domain
+/// it files under, the raw key, and its HMAC key schedule. The queue's
+/// per-peer cache holds these; a protocol engine that has just derived a
+/// pairwise key can hand its own to verify_now() as a derive-once slot.
+struct PeerKey {
+  std::uint64_t cache_key = 0;
+  const void* domain = nullptr;
+  SymmetricKey raw{};
+  HmacKey schedule;
+
+  PeerKey() noexcept = default;
+  PeerKey(std::uint64_t key, const SymmetricKey& pairwise, const void* key_domain) noexcept
+      : cache_key(key), domain(key_domain), raw(pairwise), schedule(pairwise) {}
 };
 
 /// Where pairwise keys come from. `cache_key` must identify the pairwise key
-/// a claimed sender maps to (for the symmetric IBC keys: the unordered
-/// {receiver, sender} pair); `key_for` derives it — called only on a
-/// schedule-cache miss, so it may allocate.
+/// a claimed sender maps to within the source's `domain` (for the symmetric
+/// IBC keys: the unordered {receiver, sender} pair, under the issuing
+/// authority); `key_for` derives it — called only on a schedule-cache miss,
+/// so it may allocate. A cached key or slot is used only for a frame whose
+/// cache key AND domain both match, so sources whose keys come from
+/// different authorities never share a schedule.
 class KeySource {
  public:
   virtual ~KeySource() = default;
   [[nodiscard]] virtual std::uint64_t cache_key(std::uint32_t sender) const noexcept = 0;
   [[nodiscard]] virtual SymmetricKey key_for(std::uint32_t sender) const = 0;
+  [[nodiscard]] virtual const void* domain() const noexcept = 0;
 };
 
 class VerifyQueue {
@@ -107,9 +128,17 @@ class VerifyQueue {
   std::size_t drain(const KeySource& source, std::vector<VerifyResult>& out);
 
   /// Single-frame form of the same pipeline (shares the peer cache). This is
-  /// what the D-NDP engine calls inline during a handshake.
+  /// what the D-NDP engine calls inline during a handshake. When `slot` is
+  /// given and files under the frame's cache key and the source's domain —
+  /// source.cache_key(sender) == slot->cache_key and source.domain() ==
+  /// slot->domain — the MAC stage uses it (counted as a peer-cache hit); any
+  /// other frame falls back to the peer cache. The verdict is the same either
+  /// way as long as the slot holds the key its cache key and domain name.
+  /// On Accept, the result's `schedule` points at the key schedule the MAC
+  /// verified under (the slot or a cache entry), valid until the next call.
   [[nodiscard]] VerifyResult verify_now(const BitVector& frame, std::uint32_t frame_code,
-                                        std::uint32_t expected_code, const KeySource& source);
+                                        std::uint32_t expected_code, const KeySource& source,
+                                        const PeerKey* slot = nullptr);
 
   /// The historical one-at-a-time path, kept as the in-binary equivalence
   /// reference: full BitVector decode (allocating slices), a fresh
@@ -137,10 +166,6 @@ class VerifyQueue {
     const BitVector* frame;
     std::uint32_t frame_code;
     std::uint32_t expected_code;
-  };
-  struct CachedKey {
-    SymmetricKey raw{};
-    HmacKey schedule;
   };
   struct MacWork {
     std::uint64_t cache_key;
@@ -171,14 +196,15 @@ class VerifyQueue {
                                      const Sha256Digest& expected) const noexcept;
 
   /// Resolves (or creates / falls back) the cached key entry for one peer.
-  const CachedKey& resolve_key(std::uint64_t cache_key, std::uint32_t sender,
+  /// An entry filed under another domain is re-derived in place.
+  const PeerKey& resolve_key(std::uint64_t cache_key, std::uint32_t sender,
                                const KeySource& source, DrainCounts& counts);
 
   VerifyWire wire_;
   std::vector<Pending> pending_;
   std::vector<MacWork> mac_scratch_;
-  std::unordered_map<std::uint64_t, CachedKey> keys_;
-  CachedKey overflow_;  ///< reused slot for misses past kMaxCachedPeers
+  std::unordered_map<std::uint64_t, PeerKey> keys_;
+  PeerKey overflow_;  ///< reused slot for misses past kMaxCachedPeers
 };
 
 }  // namespace jrsnd::crypto

@@ -149,7 +149,9 @@ double HistogramSample::quantile(double q) const noexcept {
       const double frac =
           in_bucket == 0 ? 1.0
                          : (target - static_cast<double>(seen)) / static_cast<double>(in_bucket);
-      return lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
+      const double value = lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
+      // Bucket edges can lie outside the observed range; a quantile cannot.
+      return std::isnan(min) || std::isnan(max) ? value : std::clamp(value, min, max);
     }
     seen += in_bucket;
   }

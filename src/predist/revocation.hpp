@@ -36,8 +36,9 @@ class RevocationState {
   /// True when `code` belongs to this node and is not revoked.
   [[nodiscard]] bool is_usable(CodeId code) const;
 
-  /// Codes still usable, ascending.
-  [[nodiscard]] std::vector<CodeId> usable_codes() const;
+  /// Codes still usable, ascending. Maintained on every revocation, so the
+  /// reference stays valid (and current) for this object's lifetime.
+  [[nodiscard]] const std::vector<CodeId>& usable_codes() const noexcept { return usable_; }
 
   [[nodiscard]] std::uint32_t invalid_count(CodeId code) const;
   [[nodiscard]] std::uint32_t gamma() const noexcept { return gamma_; }
@@ -51,8 +52,12 @@ class RevocationState {
     bool revoked = false;
   };
 
+  /// Marks `code` revoked and drops it from usable_.
+  void mark_revoked(CodeId code, Entry& entry);
+
   std::uint32_t gamma_;
   std::unordered_map<CodeId, Entry> entries_;
+  std::vector<CodeId> usable_;  ///< held and not revoked, ascending
   std::uint64_t total_ = 0;
 };
 

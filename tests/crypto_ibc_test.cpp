@@ -94,9 +94,12 @@ TEST(Ibc, MacBindsKeyAndMessage) {
   const SymmetricKey k_ab = authority.issue(node_id(1)).shared_key(node_id(2));
   const SymmetricKey k_ac = authority.issue(node_id(1)).shared_key(node_id(3));
   const auto msg = bytes("auth");
-  EXPECT_EQ(compute_mac(k_ab, msg), compute_mac(k_ab, msg));
-  EXPECT_NE(compute_mac(k_ab, msg), compute_mac(k_ac, msg));
-  EXPECT_NE(compute_mac(k_ab, msg), compute_mac(k_ab, bytes("auth2")));
+  // f_K(.) is HMAC-SHA-256 under the pairwise key, via its prepared schedule.
+  const HmacKey f_ab(k_ab);
+  const HmacKey f_ac(k_ac);
+  EXPECT_EQ(f_ab.mac(msg), HmacKey(k_ab).mac(msg));
+  EXPECT_NE(f_ab.mac(msg), f_ac.mac(msg));
+  EXPECT_NE(f_ab.mac(msg), f_ab.mac(bytes("auth2")));
 }
 
 class IbcPairSweep : public ::testing::TestWithParam<std::pair<std::uint32_t, std::uint32_t>> {};

@@ -296,6 +296,198 @@ TEST(VerifyQueueProperty, MatchesRealAuthMessageDecodeVerify) {
   }
 }
 
+// --- derive-once key slot (VerifyQueue::verify_now's `slot`) ---------------
+
+/// A frame plus the key slot a careless engine might hand in with it: the
+/// key the frame's MAC was really computed under, filed under some pair's
+/// cache key.
+struct SlotCase {
+  BitVector bits;
+  std::uint32_t frame_code = 0;
+  PeerKey slot;
+};
+
+/// Random honest, bad-MAC and foreign-sender frames. Each gets a slot whose
+/// cache key is NOT the frame's {receiver, sender} pair but whose key, for
+/// honest and foreign-sender frames, is the one the MAC verifies under — the
+/// exact shape of the impersonation hole a mis-keyed slot would open.
+std::vector<SlotCase> mismatched_slot_cases(adversary::HandshakeFloodSource& source, Rng& rng,
+                                            std::size_t count) {
+  const core::WireConfig wire{};
+  const KeySource& keys = source.key_source();
+  std::vector<SlotCase> cases;
+  const auto flood = source.make_batch(count, 3);
+  for (const auto& frame : flood) {
+    if (frame.kind != adversary::FloodFrameKind::Honest &&
+        frame.kind != adversary::FloodFrameKind::BadMac) {
+      continue;
+    }
+    const auto sender = static_cast<std::uint32_t>(frame.bits.read_uint(wire.l_t, wire.l_id));
+    // Honest: the genuine key under a neighboring pair's cache key. Bad MAC:
+    // the genuine key too — the slot must not rescue it either way.
+    cases.push_back({frame.bits, frame.frame_code,
+                     PeerKey(keys.cache_key(sender) + 1 + rng.uniform(5),
+                             keys.key_for(sender), keys.domain())});
+
+    // Foreign sender: a MAC under peer `sender`'s genuine key claiming an ID
+    // that is not `sender`, with the slot filed under the genuine pair.
+    BitVector nonce(wire.l_n);
+    for (std::size_t b = 0; b < wire.l_n; ++b) nonce.set(b, rng.bernoulli(0.5));
+    const auto claimed = static_cast<std::uint32_t>(100 + rng.uniform(50));
+    const SymmetricKey genuine = keys.key_for(sender);
+    cases.push_back({core::AuthMessage::make(node_id(claimed), nonce, genuine, wire).encode(wire),
+                     source.expected_code(),
+                     PeerKey(keys.cache_key(sender), genuine, keys.domain())});
+  }
+  return cases;
+}
+
+obs::MetricsSnapshot verify_all(const std::vector<SlotCase>& cases,
+                                const adversary::HandshakeFloodSource& source, bool use_slot,
+                                std::vector<VerifyResult>& out) {
+  VerifyQueue queue(source.verify_wire());
+  obs::MetricsRegistry registry;
+  {
+    obs::ScopedMetricsRegistry scoped(&registry);
+    for (const SlotCase& c : cases) {
+      out.push_back(queue.verify_now(c.bits, c.frame_code, source.expected_code(),
+                                     source.key_source(), use_slot ? &c.slot : nullptr));
+    }
+  }
+  return registry.snapshot();
+}
+
+TEST(VerifyQueueSlot, MismatchedSlotMatchesNoSlotVerdictsAndCounters) {
+  auto source = make_source(21);
+  Rng rng(22);
+  obs::set_metrics_enabled(true);
+  const std::vector<SlotCase> cases = mismatched_slot_cases(source, rng, 240);
+  ASSERT_GT(cases.size(), 100u);
+
+  std::vector<VerifyResult> plain;
+  std::vector<VerifyResult> slotted;
+  const obs::MetricsSnapshot plain_s = verify_all(cases, source, false, plain);
+  const obs::MetricsSnapshot slotted_s = verify_all(cases, source, true, slotted);
+
+  std::size_t accepted = 0;
+  std::size_t rejected_mac = 0;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(slotted[i].stage, plain[i].stage) << i;
+    EXPECT_EQ(slotted[i].sender, plain[i].sender) << i;
+    EXPECT_EQ(slotted[i].key, plain[i].key) << i;
+    accepted += plain[i].stage == VerifyStage::Accept;
+    rejected_mac += plain[i].stage == VerifyStage::RejectMac;
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected_mac, accepted);  // bad-MAC + every foreign-sender frame
+
+  ASSERT_EQ(plain_s.counters.size(), slotted_s.counters.size());
+  for (const auto& sample : plain_s.counters) {
+    EXPECT_EQ(counter_value(slotted_s, sample.name.c_str()), sample.value) << sample.name;
+  }
+}
+
+TEST(VerifyQueueSlot, MatchingSlotReplacesThePeerCacheLookup) {
+  // A slot filed under the frame's own pair is used instead of the peer
+  // cache: same verdicts, every MAC-stage frame a hit, no key derived.
+  auto source = make_source(23);
+  obs::set_metrics_enabled(true);
+  const core::WireConfig wire{};
+  const auto flood = source.make_batch(64, 1);
+  std::vector<SlotCase> cases;
+  for (const auto& frame : flood) {
+    if (frame.bits.size() < std::size_t{wire.l_t} + wire.l_id) {
+      cases.push_back({frame.bits, frame.frame_code, PeerKey{}});  // never parsed
+      continue;
+    }
+    const auto sender = static_cast<std::uint32_t>(frame.bits.read_uint(wire.l_t, wire.l_id));
+    cases.push_back({frame.bits, frame.frame_code,
+                     PeerKey(source.key_source().cache_key(sender),
+                             source.key_source().key_for(sender),
+                             source.key_source().domain())});
+  }
+  std::vector<VerifyResult> plain;
+  std::vector<VerifyResult> slotted;
+  (void)verify_all(cases, source, false, plain);
+  const obs::MetricsSnapshot slotted_s = verify_all(cases, source, true, slotted);
+
+  std::uint64_t mac_stage = 0;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(slotted[i].stage, plain[i].stage) << i;
+    EXPECT_EQ(slotted[i].stage, flood[i].expected_stage) << i;
+    EXPECT_EQ(slotted[i].key, plain[i].key) << i;
+    mac_stage += plain[i].stage == VerifyStage::Accept ||
+                 plain[i].stage == VerifyStage::RejectMac;
+  }
+  EXPECT_GT(mac_stage, 0u);
+  EXPECT_EQ(counter_value(slotted_s, "crypto.verify.peer_cache.hits"), mac_stage);
+  EXPECT_EQ(counter_value(slotted_s, "crypto.verify.peer_cache.misses"), 0u);
+  EXPECT_EQ(counter_value(slotted_s, "crypto.hmac.midstate.builds"), 0u);
+}
+
+TEST(VerifyQueueSlot, SlotFromAnotherAuthorityIsNeverUsed) {
+  // Two receivers with the same ID and the same peer IDs, keyed by different
+  // authorities. Honest frames to the first are MACed under the first
+  // authority's keys; a slot holding exactly that key and filed under the
+  // frame's own ID pair must still not be used by the second receiver.
+  auto ours = adversary::HandshakeFloodSource(core::WireConfig{}, /*authority_seed=*/5,
+                                              /*peer_count=*/8, /*rng_seed=*/31);
+  auto foreign = adversary::HandshakeFloodSource(core::WireConfig{}, /*authority_seed=*/6,
+                                                 /*peer_count=*/8, /*rng_seed=*/31);
+  ASSERT_NE(ours.key_source().domain(), foreign.key_source().domain());
+  obs::set_metrics_enabled(true);
+  const core::WireConfig wire{};
+  std::vector<SlotCase> cases;
+  for (const auto& frame : foreign.make_batch(64, 0)) {
+    const auto sender = static_cast<std::uint32_t>(frame.bits.read_uint(wire.l_t, wire.l_id));
+    const KeySource& keys = foreign.key_source();
+    ASSERT_EQ(keys.cache_key(sender), ours.key_source().cache_key(sender));
+    cases.push_back({frame.bits, frame.frame_code,
+                     PeerKey(keys.cache_key(sender), keys.key_for(sender), keys.domain())});
+  }
+
+  std::vector<VerifyResult> plain;
+  std::vector<VerifyResult> slotted;
+  const obs::MetricsSnapshot plain_s = verify_all(cases, ours, false, plain);
+  const obs::MetricsSnapshot slotted_s = verify_all(cases, ours, true, slotted);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(plain[i].stage, VerifyStage::RejectMac) << i;
+    EXPECT_EQ(slotted[i].stage, VerifyStage::RejectMac) << i;
+  }
+  ASSERT_EQ(plain_s.counters.size(), slotted_s.counters.size());
+  for (const auto& sample : plain_s.counters) {
+    EXPECT_EQ(counter_value(slotted_s, sample.name.c_str()), sample.value) << sample.name;
+  }
+}
+
+TEST(VerifyQueueSlot, PeerCacheIsNotSharedAcrossAuthorities) {
+  // One queue serving receivers from two authorities (same IDs): a schedule
+  // cached under one authority must not verify frames for the other.
+  auto ours = adversary::HandshakeFloodSource(core::WireConfig{}, /*authority_seed=*/5,
+                                              /*peer_count=*/8, /*rng_seed=*/32);
+  auto foreign = adversary::HandshakeFloodSource(core::WireConfig{}, /*authority_seed=*/6,
+                                                 /*peer_count=*/8, /*rng_seed=*/32);
+  VerifyQueue queue(ours.verify_wire());
+  const auto frames = foreign.make_batch(32, 0);
+  for (const auto& frame : frames) {
+    // Warm the cache under the foreign authority, then verify as ours.
+    EXPECT_EQ(queue.verify_now(frame.bits, frame.frame_code, foreign.expected_code(),
+                               foreign.key_source()).stage,
+              VerifyStage::Accept);
+    EXPECT_EQ(queue.verify_now(frame.bits, frame.frame_code, ours.expected_code(),
+                               ours.key_source()).stage,
+              VerifyStage::RejectMac);
+  }
+  // The batched path files entries the same way.
+  std::vector<VerifyResult> out;
+  for (const auto& frame : frames) queue.push(frame.bits, frame.frame_code, ours.expected_code());
+  EXPECT_EQ(queue.drain(ours.key_source(), out), 0u);
+  for (const auto& frame : frames) {
+    queue.push(frame.bits, frame.frame_code, foreign.expected_code());
+  }
+  EXPECT_EQ(queue.drain(foreign.key_source(), out), frames.size());
+}
+
 /// Runs `flood` through per-worker VerifyQueues over a pool of `threads`
 /// threads (fixed chunking, so the partition does not depend on the thread
 /// count), returning verdicts plus the merged decision counters.

@@ -163,6 +163,25 @@ TEST(Snapshot, QuantileAndMean) {
   EXPECT_TRUE(std::isnan(HistogramSample{}.quantile(0.5)));
 }
 
+TEST(Snapshot, QuantilesStayInsideTheObservedRange) {
+  // Regression: every sample in one wide bucket — the Table-I
+  // sim.phase.run.seconds shape, runs of ~1.0-1.05 s in the (1, 3] s bucket
+  // of the default latency bounds. Interpolating toward the bucket's upper
+  // edge used to report p99 ~ 2.9 s against a 1.05 s max.
+  MetricsRegistry reg;
+  Histogram& h = reg.histogram("h", default_latency_bounds());
+  for (int i = 0; i < 40; ++i) h.observe(1.01 + 0.001 * i);
+  const HistogramSample s = reg.snapshot().histograms[0];
+  const double p50 = s.quantile(0.5);
+  const double p99 = s.quantile(0.99);
+  EXPECT_LE(s.min, p50);
+  EXPECT_LE(p50, p99);
+  EXPECT_LE(p99, s.max);
+  EXPECT_LE(s.quantile(1.0), s.max);
+  EXPECT_GE(s.quantile(0.0), s.min);
+  EXPECT_DOUBLE_EQ(h.quantile(0.99), p99);  // the live view agrees
+}
+
 TEST(Snapshot, TableAndJsonRender) {
   MetricsRegistry reg;
   reg.counter("c").inc(1);

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <set>
 #include <stdexcept>
+
+#include "common/rng.hpp"
 
 namespace jrsnd::predist {
 namespace {
@@ -82,6 +88,59 @@ TEST(Revocation, WorstCaseCostIsGammaPlusOnePerCode) {
   RevocationState state(gamma, three_codes());
   for (int i = 0; i < 100; ++i) (void)state.report_invalid(code_id(1));
   EXPECT_EQ(state.total_invalid_verifications(), gamma + 1u);
+}
+
+TEST(Revocation, UsableCodesTrackRandomRevocationInterleavings) {
+  // Property: after any interleaving of report_invalid and revoke —
+  // repeats, already-revoked codes and codes never held included — the
+  // maintained usable_codes() is strictly ascending and equals the
+  // held-and-not-revoked set recomputed from scratch, and the reference it
+  // returns keeps naming the live list.
+  Rng rng(2011);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Held codes drawn from [0, 64) in random order, with duplicates.
+    std::vector<CodeId> held;
+    const std::size_t count = 1 + rng.uniform(24);
+    for (std::size_t i = 0; i < count; ++i) {
+      held.push_back(code_id(static_cast<std::uint32_t>(rng.uniform(64))));
+    }
+    const auto gamma = static_cast<std::uint32_t>(rng.uniform(4));
+    RevocationState state(gamma, held);
+    const std::vector<CodeId>& usable = state.usable_codes();
+    std::set<CodeId> revoked;
+    std::map<CodeId, std::uint32_t> invalid;
+
+    for (int step = 0; step < 80; ++step) {
+      // Codes in [0, 72): mostly held, some never held.
+      const CodeId code = code_id(static_cast<std::uint32_t>(rng.uniform(72)));
+      const bool is_held = std::find(held.begin(), held.end(), code) != held.end();
+      if (rng.bernoulli(0.7)) {
+        if (!is_held) {
+          EXPECT_THROW((void)state.report_invalid(code), std::invalid_argument);
+        } else {
+          const bool was_revoked = revoked.contains(code);
+          const bool crossed = !was_revoked && ++invalid[code] > gamma;
+          EXPECT_EQ(state.report_invalid(code), crossed);
+          if (crossed) revoked.insert(code);
+        }
+      } else {
+        const bool expect_revoke = is_held && !revoked.contains(code);
+        EXPECT_EQ(state.revoke(code), expect_revoke);
+        if (expect_revoke) revoked.insert(code);
+      }
+
+      std::set<CodeId> expected_set;
+      for (const CodeId c : held) {
+        if (!revoked.contains(c)) expected_set.insert(c);
+      }
+      const std::vector<CodeId> expected(expected_set.begin(), expected_set.end());
+      ASSERT_EQ(&state.usable_codes(), &usable);
+      ASSERT_EQ(usable, expected) << "trial " << trial << " step " << step;
+      ASSERT_TRUE(std::adjacent_find(usable.begin(), usable.end(),
+                                     std::greater_equal<CodeId>()) == usable.end());
+      for (const CodeId c : usable) EXPECT_TRUE(state.is_usable(c));
+    }
+  }
 }
 
 }  // namespace

@@ -74,6 +74,94 @@ TEST(Security, ImpersonationAsResponderAlsoFails) {
   EXPECT_EQ(w.nodes[0].neighbor(node_id(1)), nullptr);
 }
 
+// The D-NDP engine derives K_AB once per attempt and hands that key slot to
+// every later sub-session's verifies. The slot is filed under the initiator's
+// private-key identity, so a captured key claiming another ID must still be
+// rejected on every sub-session — including the ones that reuse the slot.
+// In this world every pair shares all three pool codes (l = n = 3), so each
+// attempt runs three full sub-sessions over the clean channel.
+TEST(Security, ImpersonationFailsOnEverySubsessionThatReusesTheKeySlot) {
+  SecurityWorld w;
+  Rng mallory_rng(9);
+  core::NodeState mallory(node_id(1), w.ibc.issue(node_id(2)),
+                          w.authority.assignment().codes_of(node_id(2)), w.authority,
+                          w.params.gamma, mallory_rng);
+  core::DndpEngine engine(w.params, w.phy);
+
+  // Mallory initiates, claiming ID 1, toward node 0.
+  const core::DndpResult as_initiator = engine.run(mallory, w.nodes[0]);
+  ASSERT_GE(as_initiator.shared_codes, 2u);
+  EXPECT_EQ(as_initiator.hellos_delivered, as_initiator.shared_codes);
+  EXPECT_FALSE(as_initiator.discovered);
+  EXPECT_TRUE(as_initiator.mac_failure);
+  EXPECT_EQ(as_initiator.subsessions_completed, 0u);
+  EXPECT_EQ(w.nodes[0].neighbor(node_id(1)), nullptr);
+  EXPECT_EQ(mallory.neighbor(node_id(0)), nullptr);
+
+  // Node 0 initiates; Mallory answers as ID 1.
+  const core::DndpResult as_responder = engine.run(w.nodes[0], mallory);
+  ASSERT_GE(as_responder.shared_codes, 2u);
+  EXPECT_EQ(as_responder.hellos_delivered, as_responder.shared_codes);
+  EXPECT_FALSE(as_responder.discovered);
+  EXPECT_TRUE(as_responder.mac_failure);
+  EXPECT_EQ(as_responder.subsessions_completed, 0u);
+  EXPECT_EQ(w.nodes[0].neighbor(node_id(1)), nullptr);
+  EXPECT_EQ(mallory.neighbor(node_id(0)), nullptr);
+
+  // The same engine still authenticates the genuine pair on every
+  // sub-session, and both ends file the key the authority's keys derive.
+  const core::DndpResult honest = engine.run(w.nodes[1], w.nodes[0]);
+  EXPECT_TRUE(honest.discovered);
+  EXPECT_FALSE(honest.mac_failure);
+  EXPECT_EQ(honest.subsessions_completed, honest.shared_codes);
+  ASSERT_NE(w.nodes[0].neighbor(node_id(1)), nullptr);
+  EXPECT_EQ(w.nodes[0].neighbor(node_id(1))->pair_key,
+            w.ibc.issue(node_id(0)).shared_key(node_id(1)));
+  EXPECT_EQ(w.nodes[0].neighbor(node_id(1))->session_code,
+            w.nodes[1].neighbor(node_id(0))->session_code);
+}
+
+// A node whose private key for ID 1 was issued by another authority holds
+// the right ID and the right codes but the wrong K_AB. The engine's key slot
+// and peer cache are filed per ID pair, so they must also be filed per
+// authority: whichever side runs first, and whether the outsider initiates or
+// answers, every sub-session must fail its MAC check.
+TEST(Security, KeyFromAnotherAuthorityFailsEverySubsessionInEitherRole) {
+  for (const bool outsider_initiates_first : {true, false}) {
+    SCOPED_TRACE(outsider_initiates_first ? "outsider initiates first"
+                                          : "outsider answers first");
+    SecurityWorld w;
+    const crypto::IbcAuthority rogue(778);
+    Rng outsider_rng(11);
+    core::NodeState outsider(node_id(1), rogue.issue(node_id(1)),
+                             w.authority.assignment().codes_of(node_id(1)), w.authority,
+                             w.params.gamma, outsider_rng);
+    ASSERT_EQ(outsider.key().id(), node_id(1));
+    core::DndpEngine engine(w.params, w.phy);
+
+    for (int round = 0; round < 2; ++round) {
+      const bool outsider_initiates = (round == 0) == outsider_initiates_first;
+      const core::DndpResult result = outsider_initiates ? engine.run(outsider, w.nodes[0])
+                                                         : engine.run(w.nodes[0], outsider);
+      ASSERT_GE(result.shared_codes, 2u);
+      EXPECT_EQ(result.hellos_delivered, result.shared_codes);
+      EXPECT_FALSE(result.discovered);
+      EXPECT_TRUE(result.mac_failure);
+      EXPECT_EQ(result.subsessions_completed, 0u);
+      EXPECT_EQ(w.nodes[0].neighbor(node_id(1)), nullptr);
+      EXPECT_EQ(outsider.neighbor(node_id(0)), nullptr);
+    }
+
+    // The genuine node 1 still authenticates to node 0 on the same engine.
+    const core::DndpResult honest = engine.run(w.nodes[1], w.nodes[0]);
+    EXPECT_TRUE(honest.discovered);
+    EXPECT_FALSE(honest.mac_failure);
+    ASSERT_NE(w.nodes[0].neighbor(node_id(1)), nullptr);
+    EXPECT_EQ(w.nodes[0].neighbor(node_id(1))->pair_key,
+              w.ibc.issue(node_id(0)).shared_key(node_id(1)));
+  }
+}
+
 TEST(Security, HonestPairStillDiscoversDespiteCapturedThirdParty) {
   SecurityWorld w;
   // Node 2 is captured: its codes leak, the jammer uses them. Nodes 0 and
