@@ -15,6 +15,7 @@
 #include "core/metrics.hpp"
 #include "crypto/verify_queue.hpp"
 #include "predist/authority.hpp"
+#include "reference/one_shot_verify.hpp"
 
 int main() {
   using namespace jrsnd;

@@ -35,6 +35,7 @@
 #include "core/messages.hpp"
 #include "crypto/verify_queue.hpp"
 #include "obs/metrics_registry.hpp"
+#include "reference/one_shot_verify.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -114,7 +115,7 @@ int main(int argc, char** argv) {
   {
     obs::ScopedMetricsRegistry scoped(&one_shot_registry);
     for (const adversary::FloodFrame& frame : identity_flood) {
-      one_shot_results.push_back(crypto::VerifyQueue::verify_one_shot(
+      one_shot_results.push_back(crypto::verify_one_shot(
           vw, frame.bits, frame.frame_code, expected_code, source.key_source()));
     }
   }

@@ -36,6 +36,8 @@
 #include "dsss/spreader.hpp"
 #include "dsss/sync_kernel.hpp"
 #include "obs/prof/perf_counters.hpp"
+#include "reference/shift_table.hpp"
+#include "reference/sync_scan.hpp"
 
 namespace {
 

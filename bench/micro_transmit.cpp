@@ -2,7 +2,7 @@
 //
 //  [1] End-to-end HELLO transmit at the paper's N = 512: the pre-caching
 //      pipeline (per-chip channel superposition, allocating spread/receive,
-//      per-call ShiftTable builds, per-message EccCodec layout + RS
+//      per-call correlator-table builds, per-message EccCodec layout + RS
 //      construction) vs the cached ChipPhy::transmit_into (PreparedCodebook,
 //      scratch arena, RS clean-path early exit). Bit-identity is verified
 //      draw-for-draw over a batch of messages BEFORE any timing; the cached
@@ -103,8 +103,9 @@ std::optional<BitVector> baseline_transmit(const jrsnd::core::Params& params,
     received.push_back(up);
   }
 
-  // Recover-and-rescan with the span overload: ShiftTables are rebuilt on
-  // every (re)scan call, and the decode-side codec is constructed anew.
+  // Recover-and-rescan with the span overload: the correlator table is
+  // rebuilt on every (re)scan call, and the decode-side codec is constructed
+  // anew.
   const jrsnd::ecc::EccCodec decode_codec(params.mu);
   std::size_t offset = 0;
   while (true) {

@@ -216,27 +216,4 @@ FloodThroughput measure_batched_throughput(crypto::VerifyQueue& queue,
   return result;
 }
 
-FloodThroughput measure_one_shot_throughput(const crypto::VerifyWire& wire,
-                                            std::span<const FloodFrame> frames,
-                                            const crypto::KeySource& source,
-                                            std::uint32_t expected_code,
-                                            double min_seconds) {
-  using Clock = std::chrono::steady_clock;
-  FloodThroughput result;
-  std::uint64_t accepted = 0;
-  const auto start = Clock::now();
-  do {
-    for (const FloodFrame& frame : frames) {
-      const crypto::VerifyResult v = crypto::VerifyQueue::verify_one_shot(
-          wire, frame.bits, frame.frame_code, expected_code, source);
-      accepted += (v.stage == crypto::VerifyStage::Accept) ? 1u : 0u;
-    }
-    result.frames += frames.size();
-    result.seconds = std::chrono::duration<double>(Clock::now() - start).count();
-  } while (result.seconds < min_seconds);
-  // Keep the verdicts observable so the loop cannot be optimized away.
-  if (accepted > result.frames) result.frames = accepted;
-  return result;
-}
-
 }  // namespace jrsnd::adversary

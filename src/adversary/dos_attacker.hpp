@@ -161,11 +161,4 @@ class HandshakeFloodSource {
     const crypto::KeySource& source, std::uint32_t expected_code,
     double min_seconds);
 
-/// Same measurement over the one-at-a-time reference path (no peer cache, no
-/// batching) — the unbatched baseline dos_throughput compares against.
-[[nodiscard]] FloodThroughput measure_one_shot_throughput(
-    const crypto::VerifyWire& wire, std::span<const FloodFrame> frames,
-    const crypto::KeySource& source, std::uint32_t expected_code,
-    double min_seconds);
-
 }  // namespace jrsnd::adversary

@@ -106,7 +106,7 @@ bool ChipPhy::transmit_pipeline(NodeId from, NodeId to, TxCode code, TxClass cls
   const BitVector& received = scratch_.received;
 
   // HELLOs arrive unannounced: scan with the whole codebook (prepared once
-  // by the receiver, ShiftTables cached across transmissions). Every other
+  // by the receiver, its table cached across transmissions). Every other
   // message is on a code the receiver is actively monitoring — a one-code
   // candidate set refreshed only when the code changes.
   const dsss::PreparedCodebook* candidates = nullptr;

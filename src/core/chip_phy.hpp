@@ -17,13 +17,13 @@
 // no jam -> success). It is O(window * codes * N) per message.
 //
 // Per-transmit precomputation is cached: the receiver's codebook arrives as
-// a PreparedCodebook (ShiftTables built once, reused across transmissions
-// and every recover-and-rescan iteration), the monitored-code scan keeps its
-// own single-code PreparedCodebook refreshed only when the code changes, and
-// all working buffers (coded bits, chips, channel window, received chips,
-// sync hit, ECC workspaces) live in a per-instance scratch arena — the
-// transmit_into() hot path performs zero heap allocations in the steady
-// state on a clean channel.
+// a PreparedCodebook (its correlator table built once, reused across
+// transmissions and every recover-and-rescan iteration), the monitored-code
+// scan keeps its own single-code PreparedCodebook refreshed only when the
+// code changes, and all working buffers (coded bits, chips, channel window,
+// received chips, sync hit, ECC workspaces) live in a per-instance scratch
+// arena — the transmit_into() hot path performs zero heap allocations in the
+// steady state on a clean channel.
 #pragma once
 
 #include <functional>
@@ -46,8 +46,8 @@ class ChipPhy final : public PhyModel {
   /// `receiver_codebook(node)` returns the prepared spread codes the node
   /// scans HELLO buffers with (its non-revoked pool codes). Returning a
   /// reference keeps the per-HELLO cost at a lookup — the prepared form owns
-  /// the cached ShiftTables, so the callback must return a reference that
-  /// outlives the transmit call (see dsss::NodeCodebookCache).
+  /// the cached correlator table, so the callback must return a reference
+  /// that outlives the transmit call (see dsss::NodeCodebookCache).
   using Codebook = std::function<const dsss::PreparedCodebook&(NodeId)>;
 
   ChipPhy(const Params& params, const sim::Topology& topology, const adversary::Jammer& jammer,

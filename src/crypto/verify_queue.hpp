@@ -20,9 +20,10 @@
 // time through the multi-buffer SHA-256 lanes (crypto/sha256_multi.hpp) —
 // independent-message parallelism only a batch can expose; the one-at-a-time
 // path never has more than one compression in flight.
-// The decision — and the per-stage crypto.reject.* counters —
-// are bit-identical to verify_one_shot(), the historical decode-then-verify
-// reference, which bench/dos_throughput proves in-binary before timing.
+// The decision — and the per-stage crypto.reject.* counters — are
+// bit-identical to verify_one_shot(), the historical decode-then-verify
+// reference kept beside the tests (testing/reference/one_shot_verify.hpp),
+// which bench/dos_throughput proves in-binary before timing.
 #pragma once
 
 #include <cstddef>
@@ -139,17 +140,6 @@ class VerifyQueue {
   [[nodiscard]] VerifyResult verify_now(const BitVector& frame, std::uint32_t frame_code,
                                         std::uint32_t expected_code, const KeySource& source,
                                         const PeerKey* slot = nullptr);
-
-  /// The historical one-at-a-time path, kept as the in-binary equivalence
-  /// reference: full BitVector decode (allocating slices), a fresh
-  /// KeySource::key_for call, raw hmac_sha256, and a truncated-digest
-  /// compare. Bumps the same per-frame decision counters as the batched
-  /// path; accept/reject verdicts are bit-identical by construction.
-  [[nodiscard]] static VerifyResult verify_one_shot(const VerifyWire& wire,
-                                                    const BitVector& frame,
-                                                    std::uint32_t frame_code,
-                                                    std::uint32_t expected_code,
-                                                    const KeySource& source);
 
   /// Drops every cached per-peer key schedule (tests; never needed in the
   /// steady state — the cache is capped).

@@ -1,29 +1,15 @@
 #include "dsss/prepared_codebook.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "obs/metrics_registry.hpp"
 
 namespace jrsnd::dsss {
 
-namespace {
-
-bool all_uniform(std::span<const SpreadCode> codes) noexcept {
-  for (const SpreadCode& code : codes) {
-    if (code.length() != codes[0].length()) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 void PreparedCodebook::assign(std::vector<SpreadCode> codes) {
   codes_ = std::move(codes);
-  uniform_ = all_uniform(codes_);
-  tables_.clear();
-  batch_.clear();
-  built_.store(false, std::memory_order_release);
+  uniform_ = uniform_code_lengths(codes_);
+  table_ = uniform_ ? BatchShiftTable(codes_) : BatchShiftTable();
 }
 
 bool PreparedCodebook::assign_if_changed(std::span<const SpreadCode> codes) {
@@ -36,35 +22,6 @@ bool PreparedCodebook::assign_if_changed(std::span<const SpreadCode> codes) {
   JRSND_COUNT("dsss.prepared.codebook.rebuilds");
   assign(std::vector<SpreadCode>(codes.begin(), codes.end()));
   return true;
-}
-
-void PreparedCodebook::ensure_built() const {
-  // Double-checked: the acquire load pairs with the release store below, so
-  // a reader that sees built_ == true also sees the fully-built tables_ and
-  // batch_ (one flag covers both forms — they always rebuild together).
-  if (built_.load(std::memory_order_acquire)) {
-    JRSND_COUNT("dsss.prepared.tables.hits");
-    return;
-  }
-  const std::lock_guard<std::mutex> lock(build_mutex_);
-  if (!built_.load(std::memory_order_relaxed)) {
-    JRSND_COUNT("dsss.prepared.tables.builds");
-    tables_ = build_shift_tables(codes_);
-    batch_ = build_batch_tables(codes_);
-    built_.store(true, std::memory_order_release);
-  } else {
-    JRSND_COUNT("dsss.prepared.tables.hits");
-  }
-}
-
-std::span<const ShiftTable> PreparedCodebook::tables() const {
-  ensure_built();
-  return tables_;
-}
-
-std::span<const BatchShiftTable> PreparedCodebook::batch_tables() const {
-  ensure_built();
-  return batch_;
 }
 
 const PreparedCodebook& NodeCodebookCache::prepare(NodeId id, std::span<const SpreadCode> codes) {

@@ -1,24 +1,22 @@
 // Cached per-codebook scan precomputation (ROADMAP: transmit hot path).
 //
-// The sliding-window scan's setup cost — one ShiftTable per candidate code —
-// is pure function of the codebook, yet find_first/all_messages historically
-// rebuilt the tables on every call: once per transmission *and once more per
-// recover-and-rescan iteration*, even though a receiver's codebook changes
-// only when the authority rotates codes. PreparedCodebook owns a codebook
-// snapshot and lazily builds its tables exactly once, invalidating them only
-// when the codes actually change; the scan entry points that take a
-// PreparedCodebook (dsss/sliding_window.hpp) then run with zero per-call
-// setup.
+// The sliding-window scan's setup cost — the batched correlator table over
+// the candidate codes — is a pure function of the codebook, yet a scan over
+// a span of codes rebuilds it on every call: once per transmission *and once
+// more per recover-and-rescan iteration*, even though a receiver's codebook
+// changes only when the authority rotates codes. PreparedCodebook owns a
+// codebook snapshot and its one BatchShiftTable, built eagerly by assign()
+// and rebuilt only when the codes actually change; the scan entry points
+// that take a PreparedCodebook (dsss/sliding_window.hpp) then run with zero
+// per-call setup.
 //
-// Thread safety: tables() uses double-checked locking (atomic flag with
-// acquire/release ordering plus a build mutex), so any number of PR-2
-// thread-pool workers may scan against one shared PreparedCodebook
-// concurrently. Mutation (assign / assign_if_changed) is NOT synchronized
-// against concurrent readers — snapshot semantics: build the codebook, then
-// share it read-only, exactly how the simulation engines use per-run worlds.
+// Thread safety: snapshot semantics. Const access never mutates, so any
+// number of PR-2 thread-pool workers may scan one shared PreparedCodebook
+// concurrently with no lock. Mutation (assign / assign_if_changed) is NOT
+// synchronized against concurrent readers — build the codebook, then share
+// it read-only, exactly how the simulation engines use per-run worlds.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <mutex>
 #include <span>
@@ -36,42 +34,15 @@ class PreparedCodebook {
   PreparedCodebook() = default;
   explicit PreparedCodebook(std::vector<SpreadCode> codes) { assign(std::move(codes)); }
 
-  /// Copies transfer the codes but not the tables (they rebuild lazily);
-  /// moves keep everything. Neither is synchronized — copy/move during
-  /// single-threaded setup only.
-  PreparedCodebook(const PreparedCodebook& other) : codes_(other.codes_) {}
-  PreparedCodebook(PreparedCodebook&& other) noexcept
-      : codes_(std::move(other.codes_)),
-        tables_(std::move(other.tables_)),
-        batch_(std::move(other.batch_)),
-        built_(other.built_.load(std::memory_order_relaxed)) {}
-  PreparedCodebook& operator=(const PreparedCodebook& other) {
-    if (this != &other) {
-      codes_ = other.codes_;
-      tables_.clear();
-      batch_.clear();
-      built_.store(false, std::memory_order_relaxed);
-    }
-    return *this;
-  }
-  PreparedCodebook& operator=(PreparedCodebook&& other) noexcept {
-    if (this != &other) {
-      codes_ = std::move(other.codes_);
-      tables_ = std::move(other.tables_);
-      batch_ = std::move(other.batch_);
-      built_.store(other.built_.load(std::memory_order_relaxed), std::memory_order_relaxed);
-    }
-    return *this;
-  }
-
-  /// Replaces the codebook and invalidates the cached tables.
+  /// Replaces the codebook and rebuilds its table (left empty when the
+  /// lengths are mixed: scans refuse such a codebook anyway).
   void assign(std::vector<SpreadCode> codes);
 
   /// assign() only if `codes` differs from the current snapshot. The
   /// comparison is word-level over the packed chip patterns and allocates
   /// nothing, so calling this once per transmission (as ChipPhy does for the
   /// monitored-code scan) costs a few word compares in the steady state.
-  /// Returns true when the codebook changed (tables were invalidated).
+  /// Returns true when the codebook changed (the table was rebuilt).
   bool assign_if_changed(std::span<const SpreadCode> codes);
 
   [[nodiscard]] std::span<const SpreadCode> codes() const noexcept { return codes_; }
@@ -87,25 +58,20 @@ class PreparedCodebook {
   /// precondition, validated once at assign() instead of once per scan.
   [[nodiscard]] bool uniform_lengths() const noexcept { return uniform_; }
 
-  /// The per-code ShiftTables, built on first use and reused until the
-  /// codebook changes. Safe to call from multiple threads concurrently.
-  [[nodiscard]] std::span<const ShiftTable> tables() const;
+  /// The batched correlator table over codes(), lane c holding codes()[c].
+  /// Empty when the codebook is empty or has mixed lengths.
+  [[nodiscard]] const BatchShiftTable& table() const noexcept { return table_; }
 
-  /// The SIMD-batched table groups (one per distinct code length, so a
-  /// uniform codebook yields exactly one group — see build_batch_tables),
-  /// built and cached together with tables() under the same double-checked
-  /// flag. Safe to call from multiple threads concurrently.
-  [[nodiscard]] std::span<const BatchShiftTable> batch_tables() const;
+  /// table() as a span of zero (empty table) or one entries — the form
+  /// perfbench's chip workload reads.
+  [[nodiscard]] std::span<const BatchShiftTable> batch_tables() const noexcept {
+    return {&table_, table_.empty() ? 0U : 1U};
+  }
 
  private:
-  void ensure_built() const;
-
   std::vector<SpreadCode> codes_;
   bool uniform_ = true;
-  mutable std::vector<ShiftTable> tables_;
-  mutable std::vector<BatchShiftTable> batch_;
-  mutable std::atomic<bool> built_{false};
-  mutable std::mutex build_mutex_;
+  BatchShiftTable table_;
 };
 
 /// Per-receiver PreparedCodebook store for Codebook callbacks: test worlds

@@ -1,7 +1,6 @@
 #include "dsss/sliding_window.hpp"
 
 #include <cassert>
-#include <cmath>
 
 #include "dsss/prepared_codebook.hpp"
 #include "dsss/sync_kernel.hpp"
@@ -11,17 +10,6 @@
 namespace jrsnd::dsss {
 
 namespace {
-
-/// The scan correlates every window against every candidate at a shared
-/// stride, so all candidates must agree on N. Callers that mix pool codes of
-/// different lengths have a configuration bug; surface it loudly in debug
-/// builds and fail the scan (no hit is better than a bogus one) in release.
-bool uniform_code_lengths(std::span<const SpreadCode> codes) noexcept {
-  for (const SpreadCode& code : codes) {
-    if (code.length() != codes[0].length()) return false;
-  }
-  return true;
-}
 
 /// Per-thread lane scratch for the batched kernel's hamming outputs. Grows
 /// to the largest lane_count seen by this thread and is then reused, so a
@@ -43,9 +31,10 @@ struct ScanPos {
 /// ⟺ h < hit_below || h >= hit_from. correlation_from_hamming is strictly
 /// decreasing in h, so the h passing the positive test form a prefix and
 /// those passing the negative test a suffix; the bounds are found with the
-/// SAME double-precision predicate the per-code path evaluates, making the
-/// integer compare in the hot loop exactly equivalent (including rounding at
-/// the boundary) while skipping two int->double conversions per candidate.
+/// SAME double-precision predicate a correlate-then-compare scan evaluates,
+/// making the integer compare in the hot loop exactly equivalent (including
+/// rounding at the boundary) while skipping two int->double conversions per
+/// candidate.
 struct HammingBounds {
   std::size_t hit_below = 0;  ///< h < hit_below  ⇒  corr >= tau
   std::size_t hit_from = 0;   ///< h >= hit_from  ⇒  corr <= -tau
@@ -62,8 +51,8 @@ HammingBounds hamming_bounds(std::size_t n, double tau) {
 /// The batched sync search: one pass over the chip buffer scores every code
 /// in the group per window via BatchShiftTable::hamming_all, then applies
 /// the threshold in candidate order — so the (offset, code) it reports is
-/// exactly the one the per-code loop would have found, and `below_tau`
-/// advances by the number of candidates the per-code loop would have
+/// exactly the one a per-code loop would have found, and `below_tau`
+/// advances by the number of candidates a per-code loop would have
 /// rejected before it. This loop is the paper's t_p = rho*N*m*f hot path:
 /// zero allocation (thread-local scratch), zero bit-shifting, and one
 /// buffer-word load feeding every candidate on the active SIMD backend.
@@ -91,15 +80,12 @@ bool batch_sync_search(const BitVector& buffer, const BatchShiftTable& batch,
 }
 
 /// The shared scan core: every find_first entry point — per-call batch
-/// tables, cached PreparedCodebook tables, optional-returning or into-a-hit
-/// — runs this loop, so their results are bit-identical by construction.
-/// `despread_hit(pos, out)` recovers the message once the search locks on;
-/// callers pick the table source (cached per-code ShiftTable or a batch
-/// lane), every choice bit-identical. With a caller-reused `out` the whole
-/// call is allocation-free in the steady state.
-template <typename DespreadHit>
+/// table, cached PreparedCodebook table, optional-returning or into-a-hit —
+/// runs this loop and despreads from the locked-on lane of the same table,
+/// so their results are bit-identical by construction. With a caller-reused
+/// `out` the whole call is allocation-free in the steady state.
 bool scan_first(const BitVector& buffer, const BatchShiftTable& batch, std::size_t message_bits,
-                double tau, std::size_t start_offset, SyncHit& out, DespreadHit&& despread_hit) {
+                double tau, std::size_t start_offset, SyncHit& out) {
   if (batch.empty() || message_bits == 0) return false;
   const std::size_t needed = message_bits * batch.length();
   if (buffer.size() < needed) return false;
@@ -111,7 +97,7 @@ bool scan_first(const BitVector& buffer, const BatchShiftTable& batch, std::size
   if (batch_sync_search(buffer, batch, needed, tau, start_offset, pos, below_tau)) {
     out.code_index = pos.code;
     out.chip_offset = pos.offset;
-    despread_hit(pos, out.message);
+    despread_into(buffer, pos.offset, message_bits, batch, pos.code, tau, out.message);
     JRSND_COUNT("dsss.sync.hits");
     JRSND_COUNT_N("dsss.sync.windows_below_tau", below_tau);
     return true;
@@ -121,10 +107,9 @@ bool scan_first(const BitVector& buffer, const BatchShiftTable& batch, std::size
   return false;
 }
 
-/// Shared find_all core over a batch group (see scan_first).
-template <typename DespreadHit>
+/// Shared find_all core over a batch table (see scan_first).
 std::vector<SyncHit> scan_all(const BitVector& buffer, const BatchShiftTable& batch,
-                              std::size_t message_bits, double tau, DespreadHit&& despread_hit) {
+                              std::size_t message_bits, double tau) {
   std::vector<SyncHit> hits;
   if (batch.empty() || message_bits == 0) return hits;
   const std::size_t needed = message_bits * batch.length();
@@ -136,7 +121,7 @@ std::vector<SyncHit> scan_all(const BitVector& buffer, const BatchShiftTable& ba
     SyncHit hit;
     hit.code_index = pos.code;
     hit.chip_offset = pos.offset;
-    despread_hit(pos, hit.message);
+    despread_into(buffer, pos.offset, message_bits, batch, pos.code, tau, hit.message);
     hits.push_back(std::move(hit));
     offset = pos.offset + needed;  // resume after the recovered message
   }
@@ -159,12 +144,7 @@ std::optional<SyncHit> find_first_message(const BitVector& buffer,
   // which caches this step across calls.
   const BatchShiftTable batch(codes);
   SyncHit hit;
-  if (scan_first(buffer, batch, message_bits, tau, start_offset, hit,
-                 [&](const ScanPos& pos, DespreadResult& message) {
-                   despread_into(buffer, pos.offset, message_bits, batch, pos.code, tau, message);
-                 })) {
-    return hit;
-  }
+  if (scan_first(buffer, batch, message_bits, tau, start_offset, hit)) return hit;
   return std::nullopt;
 }
 
@@ -183,17 +163,7 @@ bool find_first_message_into(const BitVector& buffer, const PreparedCodebook& co
                              std::size_t message_bits, double tau, std::size_t start_offset,
                              SyncHit& out) {
   assert(codebook.uniform_lengths() && "find_first_message: mixed candidate code lengths");
-  if (!codebook.uniform_lengths()) return false;
-  const std::span<const BatchShiftTable> groups = codebook.batch_tables();
-  if (groups.empty()) return false;
-  // Uniform codebook -> exactly one batch group; despread from the cached
-  // per-code ShiftTable (already built alongside the batch form).
-  const std::span<const ShiftTable> tables = codebook.tables();
-  return scan_first(buffer, groups[0], message_bits, tau, start_offset, out,
-                    [&](const ScanPos& pos, DespreadResult& message) {
-                      despread_into(buffer, pos.offset, message_bits, tables[pos.code], tau,
-                                    message);
-                    });
+  return scan_first(buffer, codebook.table(), message_bits, tau, start_offset, out);
 }
 
 std::vector<SyncHit> find_all_messages(const BitVector& buffer, std::span<const SpreadCode> codes,
@@ -201,89 +171,13 @@ std::vector<SyncHit> find_all_messages(const BitVector& buffer, std::span<const 
   if (codes.empty()) return {};
   assert(uniform_code_lengths(codes) && "find_all_messages: mixed candidate code lengths");
   if (!uniform_code_lengths(codes)) return {};
-
-  const BatchShiftTable batch(codes);
-  return scan_all(buffer, batch, message_bits, tau,
-                  [&](const ScanPos& pos, DespreadResult& message) {
-                    despread_into(buffer, pos.offset, message_bits, batch, pos.code, tau, message);
-                  });
+  return scan_all(buffer, BatchShiftTable(codes), message_bits, tau);
 }
 
 std::vector<SyncHit> find_all_messages(const BitVector& buffer, const PreparedCodebook& codebook,
                                        std::size_t message_bits, double tau) {
   assert(codebook.uniform_lengths() && "find_all_messages: mixed candidate code lengths");
-  if (!codebook.uniform_lengths()) return {};
-  const std::span<const BatchShiftTable> groups = codebook.batch_tables();
-  if (groups.empty()) return {};
-  const std::span<const ShiftTable> tables = codebook.tables();
-  return scan_all(buffer, groups[0], message_bits, tau,
-                  [&](const ScanPos& pos, DespreadResult& message) {
-                    despread_into(buffer, pos.offset, message_bits, tables[pos.code], tau,
-                                  message);
-                  });
-}
-
-std::optional<SyncHit> find_first_message_reference(const BitVector& buffer,
-                                                    std::span<const SpreadCode> codes,
-                                                    std::size_t message_bits, double tau,
-                                                    std::size_t start_offset) {
-  if (codes.empty() || message_bits == 0) return std::nullopt;
-  assert(uniform_code_lengths(codes) &&
-         "find_first_message_reference: mixed candidate code lengths");
-  if (!uniform_code_lengths(codes)) return std::nullopt;
-  const std::size_t n = codes[0].length();
-  const std::size_t needed = message_bits * n;
-  if (buffer.size() < needed) return std::nullopt;
-
-  for (std::size_t offset = start_offset; offset + needed <= buffer.size(); ++offset) {
-    // One slice per window position, shared across the m candidates — the
-    // slice is offset-dependent, not code-dependent.
-    const BitVector window = buffer.slice(offset, n);
-    for (std::size_t c = 0; c < codes.size(); ++c) {
-      const double corr = codes[c].correlate(window);
-      if (std::abs(corr) >= tau) {
-        SyncHit hit;
-        hit.code_index = c;
-        hit.chip_offset = offset;
-        hit.message = despread(buffer, offset, message_bits, codes[c], tau);
-        return hit;
-      }
-    }
-  }
-  return std::nullopt;
-}
-
-std::vector<SyncHit> find_all_messages_reference(const BitVector& buffer,
-                                                 std::span<const SpreadCode> codes,
-                                                 std::size_t message_bits, double tau) {
-  std::vector<SyncHit> hits;
-  if (codes.empty() || message_bits == 0) return hits;
-  assert(uniform_code_lengths(codes) &&
-         "find_all_messages_reference: mixed candidate code lengths");
-  if (!uniform_code_lengths(codes)) return hits;
-  const std::size_t n = codes[0].length();
-  const std::size_t needed = message_bits * n;
-
-  std::size_t offset = 0;
-  while (offset + needed <= buffer.size()) {
-    bool found = false;
-    const BitVector window = buffer.slice(offset, n);
-    for (std::size_t c = 0; c < codes.size(); ++c) {
-      const double corr = codes[c].correlate(window);
-      if (std::abs(corr) >= tau) {
-        SyncHit hit;
-        hit.code_index = c;
-        hit.chip_offset = offset;
-        hit.message = despread(buffer, offset, message_bits, codes[c], tau);
-        hits.push_back(std::move(hit));
-        offset += needed;  // resume after the recovered message
-        found = true;
-        break;
-      }
-    }
-    if (!found) ++offset;
-  }
-  return hits;
+  return scan_all(buffer, codebook.table(), message_bits, tau);
 }
 
 std::size_t scan_correlation_count(std::size_t buffer_chips, std::size_t code_count,

@@ -11,10 +11,11 @@
 // The scan core batches the whole candidate pool: one pass over the buffer
 // scores every code per window through BatchShiftTable::hamming_all
 // (dsss/sync_kernel.hpp), dispatched to the best SIMD backend the host
-// admits (JRSND_SIMD overrides). The threshold test runs in the Hamming
-// domain with bounds derived from the same double predicate, so hits,
-// counters, and recovered messages are byte-identical to the per-code path
-// and to the find_*_reference slice oracles below on every backend.
+// admits (JRSND_SIMD overrides), and despreads the hit from the same
+// table's lane. The threshold test runs in the Hamming domain with bounds
+// derived from the same double predicate, so hits, counters, and recovered
+// messages are byte-identical on every backend to a slice-by-slice scan
+// (the reference oracles kept beside the tests, testing/reference/).
 #pragma once
 
 #include <cstddef>
@@ -50,19 +51,18 @@ struct SyncHit {
 /// the scan report no hit in release builds.
 ///
 /// Implementation: the allocation-free word-aligned kernel
-/// (dsss/sync_kernel.hpp) — each candidate is precomputed at all 64 word
-/// alignments once per scan, then every window is XOR + popcount against the
-/// buffer's packed words.
+/// (dsss/sync_kernel.hpp) — the candidates are precomputed at all 64 word
+/// alignments into one BatchShiftTable per call, then every window is
+/// XOR + popcount against the buffer's packed words.
 [[nodiscard]] std::optional<SyncHit> find_first_message(const BitVector& buffer,
                                                         std::span<const SpreadCode> codes,
                                                         std::size_t message_bits, double tau,
                                                         std::size_t start_offset = 0);
 
 /// find_first_message over a PreparedCodebook: identical results, but the
-/// per-code ShiftTables come from the codebook's cache instead of being
-/// rebuilt per call — the form ChipPhy's transmit path and its
-/// recover-and-rescan loop use, where the same codebook is scanned at many
-/// resume offsets.
+/// batched table comes from the codebook instead of being rebuilt per
+/// call — the form ChipPhy's transmit path and its recover-and-rescan loop
+/// use, where the same codebook is scanned at many resume offsets.
 [[nodiscard]] std::optional<SyncHit> find_first_message(const BitVector& buffer,
                                                         const PreparedCodebook& codebook,
                                                         std::size_t message_bits, double tau,
@@ -86,24 +86,10 @@ struct SyncHit {
                                                      std::span<const SpreadCode> codes,
                                                      std::size_t message_bits, double tau);
 
-/// find_all_messages over a PreparedCodebook (cached ShiftTables).
+/// find_all_messages over a PreparedCodebook (its cached table).
 [[nodiscard]] std::vector<SyncHit> find_all_messages(const BitVector& buffer,
                                                      const PreparedCodebook& codebook,
                                                      std::size_t message_bits, double tau);
-
-/// Reference oracle for find_first_message: the straightforward slice-based
-/// scan (one BitVector window per chip position, shared across candidates —
-/// not one per (position, code) pair). Byte-identical results to the kernel
-/// path by construction; kept for property tests and the micro benchmark,
-/// not for production scans.
-[[nodiscard]] std::optional<SyncHit> find_first_message_reference(
-    const BitVector& buffer, std::span<const SpreadCode> codes, std::size_t message_bits,
-    double tau, std::size_t start_offset = 0);
-
-/// Reference oracle for find_all_messages (see find_first_message_reference).
-[[nodiscard]] std::vector<SyncHit> find_all_messages_reference(
-    const BitVector& buffer, std::span<const SpreadCode> codes, std::size_t message_bits,
-    double tau);
 
 /// The number of code correlations the scan performs, the quantity the
 /// paper's processing-time model t_p = rho * N * m * f is built on.

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "common/bit_vector.hpp"
@@ -44,5 +45,11 @@ class SpreadCode {
   BitVector chips_;
   CodeId id_;
 };
+
+/// True when every code shares codes[0].length() (vacuously for an empty
+/// span). The sliding-window scan correlates every window against every
+/// candidate at one stride, so a candidate set must pass this; a set that
+/// mixes lengths is a configuration bug.
+[[nodiscard]] bool uniform_code_lengths(std::span<const SpreadCode> codes) noexcept;
 
 }  // namespace jrsnd::dsss

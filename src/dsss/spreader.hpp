@@ -17,7 +17,6 @@
 namespace jrsnd::dsss {
 
 class BatchShiftTable;  // dsss/sync_kernel.hpp
-class ShiftTable;       // dsss/sync_kernel.hpp
 
 /// Spreads `message` with `code`: output has message.size() * N chips,
 /// packed as bits (bit 1 <-> chip +1).
@@ -53,27 +52,13 @@ struct DespreadResult {
 [[nodiscard]] DespreadBit despread_bit(const BitVector& chips, std::size_t start,
                                        const SpreadCode& code, double tau);
 
-/// Kernel variants over a precomputed ShiftTable: same decisions and the
-/// bit-identical correlations of the SpreadCode overloads, but each window
-/// is correlated with zero allocation and zero bit-shifting — the path the
-/// sliding-window scan uses once it has built its per-scan tables.
-[[nodiscard]] DespreadResult despread(const BitVector& chips, std::size_t start,
-                                      std::size_t bit_count, const ShiftTable& code, double tau);
-[[nodiscard]] DespreadBit despread_bit(const BitVector& chips, std::size_t start,
-                                       const ShiftTable& code, double tau);
-
-/// despread() into a caller-owned result (cleared and refilled). Identical
-/// decisions; allocation-free once `out`'s buffers have steady-state
-/// capacity. Used by the sliding-window scan's _into entry point.
-void despread_into(const BitVector& chips, std::size_t start, std::size_t bit_count,
-                   const ShiftTable& code, double tau, DespreadResult& out);
-
-/// despread_into over one lane of a SIMD-batched table — the path the
-/// batched scan uses when the caller has no per-code ShiftTable cache (the
-/// span-of-codes entry points). The lane's strided SoA reads produce the
-/// same integer Hamming distances as a ShiftTable of the same code, so the
-/// decisions and correlations are bit-identical to every other despread
-/// overload. Precondition: lane < batch.size().
+/// despread() into a caller-owned result (cleared and refilled), reading
+/// the code from one lane of the scan's batched table — the path every
+/// sliding-window scan uses once it has locked onto a code. The lane's
+/// strided SoA reads produce the same integer Hamming distances as
+/// correlate_at on the code, so the decisions and correlations are
+/// bit-identical to the SpreadCode overload. Allocation-free once `out`'s
+/// buffers have steady-state capacity. Precondition: lane < batch.size().
 void despread_into(const BitVector& chips, std::size_t start, std::size_t bit_count,
                    const BatchShiftTable& batch, std::size_t lane, double tau,
                    DespreadResult& out);

@@ -1,6 +1,5 @@
 #include "dsss/sync_kernel.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cassert>
@@ -62,24 +61,21 @@ void shift_words(std::span<const std::uint64_t> src, std::size_t s, std::uint64_
 // backend computes identical integers; they differ only in how many lanes
 // one instruction covers.
 
-void batch_hamming_scalar(const std::uint64_t* rows, std::size_t lanes, std::size_t nw,
-                          const std::uint64_t* buf, std::uint64_t w0, std::uint64_t wl,
-                          std::uint64_t* acc) noexcept {
-  for (std::size_t c = 0; c < lanes; ++c) {
-    acc[c] = static_cast<std::uint64_t>(std::popcount(w0 ^ rows[c]));
-  }
-  for (std::size_t k = 1; k + 1 < nw; ++k) {
-    const std::uint64_t w = buf[k];
-    const std::uint64_t* row = rows + k * lanes;
-    for (std::size_t c = 0; c < lanes; ++c) {
-      acc[c] += static_cast<std::uint64_t>(std::popcount(w ^ row[c]));
+/// The scalar kernel scores only the m real codes, one code at a time with
+/// a register accumulator (the buffer words stay in L1 across codes): with
+/// one code per instruction, the padding lanes the vector kernels need would
+/// be pure waste (8x the work at m = 1). Their outputs stay unspecified.
+void batch_hamming_scalar(const std::uint64_t* rows, std::size_t m, std::size_t lanes,
+                          std::size_t nw, const std::uint64_t* buf, std::uint64_t w0,
+                          std::uint64_t wl, std::uint64_t* acc) noexcept {
+  for (std::size_t c = 0; c < m; ++c) {
+    const std::uint64_t* row = rows + c;
+    std::uint64_t h = static_cast<std::uint64_t>(std::popcount(w0 ^ row[0]));
+    for (std::size_t k = 1; k + 1 < nw; ++k) {
+      h += static_cast<std::uint64_t>(std::popcount(buf[k] ^ row[k * lanes]));
     }
-  }
-  if (nw > 1) {
-    const std::uint64_t* row = rows + (nw - 1) * lanes;
-    for (std::size_t c = 0; c < lanes; ++c) {
-      acc[c] += static_cast<std::uint64_t>(std::popcount(wl ^ row[c]));
-    }
+    if (nw > 1) h += static_cast<std::uint64_t>(std::popcount(wl ^ row[(nw - 1) * lanes]));
+    acc[c] = h;
   }
 }
 
@@ -349,32 +345,9 @@ double correlate_at(const BitVector& buffer, std::size_t bit_offset, const BitVe
   return correlation_from_hamming(code.size(), hamming_at(buffer, bit_offset, code));
 }
 
-ShiftTable::ShiftTable(const SpreadCode& code)
-    : length_(code.length()), stride_((kWordBits - 1 + length_ + kWordBits - 1) / kWordBits) {
-  rows_.resize(kWordBits * stride_);
-  const std::span<const std::uint64_t> cw = code.bits().words();
-  for (std::size_t s = 0; s < kWordBits; ++s) {
-    shift_words(cw, s, rows_.data() + s * stride_, stride_);
-  }
-}
-
-std::vector<ShiftTable> build_shift_tables(std::span<const SpreadCode> codes) {
-  std::vector<ShiftTable> tables;
-  tables.reserve(codes.size());
-  for (const SpreadCode& code : codes) tables.emplace_back(code);
-  return tables;
-}
-
-void BatchShiftTable::build(std::span<const SpreadCode* const> codes,
-                            std::vector<std::size_t> sources) {
-  sources_ = std::move(sources);
-  m_ = codes.size();
-  if (m_ == 0) {
-    length_ = lanes_ = stride_ = 0;
-    rows_.clear();
-    return;
-  }
-  length_ = codes[0]->length();
+BatchShiftTable::BatchShiftTable(std::span<const SpreadCode> codes) : m_(codes.size()) {
+  if (m_ == 0) return;
+  length_ = codes[0].length();
   lanes_ = (m_ + kLaneAlign - 1) / kLaneAlign * kLaneAlign;
   stride_ = (kWordBits - 1 + length_ + kWordBits - 1) / kWordBits;
   // Padding lanes stay zero: harmless to XOR against, never reported. Seven
@@ -386,8 +359,8 @@ void BatchShiftTable::build(std::span<const SpreadCode* const> codes,
   std::uint64_t* base = rows_.data() + align_offset_;
   std::vector<std::uint64_t> contiguous(stride_);
   for (std::size_t c = 0; c < m_; ++c) {
-    assert(codes[c]->length() == length_ && "BatchShiftTable: mixed code lengths in one group");
-    const std::span<const std::uint64_t> cw = codes[c]->bits().words();
+    assert(codes[c].length() == length_ && "BatchShiftTable: mixed code lengths in one group");
+    const std::span<const std::uint64_t> cw = codes[c].bits().words();
     for (std::size_t s = 0; s < kWordBits; ++s) {
       shift_words(cw, s, contiguous.data(), stride_);
       // Transpose into SoA order: lane c of every (s, k) block.
@@ -396,18 +369,6 @@ void BatchShiftTable::build(std::span<const SpreadCode* const> codes,
       }
     }
   }
-}
-
-BatchShiftTable::BatchShiftTable(std::span<const SpreadCode> codes) {
-  std::vector<const SpreadCode*> ptrs;
-  std::vector<std::size_t> sources;
-  ptrs.reserve(codes.size());
-  sources.reserve(codes.size());
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    ptrs.push_back(&codes[i]);
-    sources.push_back(i);
-  }
-  build(ptrs, std::move(sources));
 }
 
 void BatchShiftTable::hamming_all(const BitVector& buffer, std::size_t bit_offset,
@@ -422,8 +383,7 @@ void BatchShiftTable::hamming_all(const BitVector& buffer, std::size_t bit_offse
   const std::uint64_t first = ~std::uint64_t{0} >> s;
   const std::size_t valid = (s + length_ - 1) % kWordBits + 1;
   const std::uint64_t last = ~std::uint64_t{0} << (kWordBits - valid);
-  // Pre-masked edge words, computed once for the whole group (the per-code
-  // path recomputes the equivalent masks for every candidate).
+  // Pre-masked edge words, computed once for the whole group.
   const std::uint64_t w0 = nw == 1 ? (buf[0] & first & last) : (buf[0] & first);
   const std::uint64_t wl = buf[nw - 1] & last;
   switch (simd_backend()) {
@@ -440,7 +400,7 @@ void BatchShiftTable::hamming_all(const BitVector& buffer, std::size_t bit_offse
       return;
 #endif
     default:
-      batch_hamming_scalar(rows, lanes_, nw, buf, w0, wl, out.data());
+      batch_hamming_scalar(rows, m_, lanes_, nw, buf, w0, wl, out.data());
       return;
   }
 }
@@ -470,31 +430,6 @@ std::size_t BatchShiftTable::hamming_lane(std::size_t lane, const BitVector& buf
 double BatchShiftTable::correlate_lane(std::size_t lane, const BitVector& buffer,
                                        std::size_t bit_offset) const {
   return correlation_from_hamming(length_, hamming_lane(lane, buffer, bit_offset));
-}
-
-std::vector<BatchShiftTable> build_batch_tables(std::span<const SpreadCode> codes) {
-  std::vector<BatchShiftTable> groups;
-  std::vector<std::size_t> lengths;  // distinct lengths, first-appearance order
-  for (const SpreadCode& code : codes) {
-    if (std::find(lengths.begin(), lengths.end(), code.length()) == lengths.end()) {
-      lengths.push_back(code.length());
-    }
-  }
-  groups.reserve(lengths.size());
-  for (const std::size_t length : lengths) {
-    std::vector<const SpreadCode*> ptrs;
-    std::vector<std::size_t> sources;
-    for (std::size_t i = 0; i < codes.size(); ++i) {
-      if (codes[i].length() == length) {
-        ptrs.push_back(&codes[i]);
-        sources.push_back(i);
-      }
-    }
-    BatchShiftTable group;
-    group.build(ptrs, std::move(sources));
-    groups.push_back(std::move(group));
-  }
-  return groups;
 }
 
 }  // namespace jrsnd::dsss

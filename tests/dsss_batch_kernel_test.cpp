@@ -1,6 +1,6 @@
 // The SIMD-batched correlator must agree exactly — bit-identical integer
 // Hamming distances, bit-identical correlation doubles, byte-identical
-// SyncHits — with the single-code ShiftTable kernel and the naive slice
+// SyncHits — with the single-code reference ShiftTable and the naive slice
 // reference on EVERY compiled backend. Each property below therefore loops
 // over the supported backends via set_simd_backend; a host without AVX
 // still exercises the scalar path, and CI's JRSND_SIMD=scalar leg pins the
@@ -17,6 +17,9 @@
 #include "dsss/spread_code.hpp"
 #include "dsss/spreader.hpp"
 #include "dsss/sync_kernel.hpp"
+#include "reference/shift_table.hpp"
+#include "reference/sync_scan.hpp"
+#include "simd_backend_scope.hpp"
 
 namespace jrsnd::dsss {
 namespace {
@@ -33,30 +36,6 @@ std::vector<SpreadCode> random_codes(Rng& rng, std::size_t m, std::size_t n) {
   for (std::size_t i = 0; i < m; ++i) codes.push_back(SpreadCode::random(rng, n));
   return codes;
 }
-
-std::vector<SimdBackend> supported_backends() {
-  std::vector<SimdBackend> backends;
-  for (const SimdBackend b :
-       {SimdBackend::kScalar, SimdBackend::kAvx2, SimdBackend::kAvx512, SimdBackend::kNeon}) {
-    if (simd_backend_supported(b)) backends.push_back(b);
-  }
-  return backends;
-}
-
-/// Pins the dispatch backend for one test body and restores the previous
-/// choice on scope exit, so test order never leaks a forced backend.
-class ScopedBackend {
- public:
-  explicit ScopedBackend(SimdBackend backend) : previous_(simd_backend()) {
-    set_simd_backend(backend);
-  }
-  ~ScopedBackend() { set_simd_backend(previous_); }
-  ScopedBackend(const ScopedBackend&) = delete;
-  ScopedBackend& operator=(const ScopedBackend&) = delete;
-
- private:
-  SimdBackend previous_;
-};
 
 TEST(BatchKernel, ScalarBackendAlwaysSupported) {
   EXPECT_TRUE(simd_backend_supported(SimdBackend::kScalar));
@@ -141,7 +120,7 @@ TEST(BatchKernel, EmptyGroupIsInert) {
   EXPECT_TRUE(batch.empty());
   EXPECT_EQ(batch.size(), 0U);
   EXPECT_EQ(batch.lane_count(), 0U);
-  EXPECT_EQ(build_batch_tables({}).size(), 0U);
+  EXPECT_TRUE(BatchShiftTable(std::span<const SpreadCode>{}).empty());
 }
 
 // A singleton group must match the single-code kernel exactly — the batched
@@ -156,7 +135,6 @@ TEST(BatchKernel, SingletonGroupMatchesSingleCodeKernel) {
     const ShiftTable table(code);
     ASSERT_EQ(batch.size(), 1U);
     ASSERT_EQ(batch.lane_count(), 8U);
-    EXPECT_EQ(batch.source_index(0), 0U);
 
     const BitVector buffer = random_bits(rng, 200 + 130);
     std::vector<std::uint64_t> hams(batch.lane_count());
@@ -167,55 +145,39 @@ TEST(BatchKernel, SingletonGroupMatchesSingleCodeKernel) {
   }
 }
 
-// Mixed-length pools group per distinct length (first-appearance order)
-// without asserting; each group's lanes keep their original codebook
-// indices so a hit can be mapped back to the source code.
-TEST(BatchKernel, MixedLengthsGroupPerLengthWithoutAsserting) {
-  Rng rng(14);
-  std::vector<SpreadCode> codes;
-  codes.push_back(SpreadCode::random(rng, 64));   // group 0, lane 0
-  codes.push_back(SpreadCode::random(rng, 128));  // group 1, lane 0
-  codes.push_back(SpreadCode::random(rng, 64));   // group 0, lane 1
-  codes.push_back(SpreadCode::random(rng, 32));   // group 2, lane 0
-  codes.push_back(SpreadCode::random(rng, 128));  // group 1, lane 1
-
-  const std::vector<BatchShiftTable> groups = build_batch_tables(codes);
-  ASSERT_EQ(groups.size(), 3U);
-  EXPECT_EQ(groups[0].length(), 64U);
-  EXPECT_EQ(groups[1].length(), 128U);
-  EXPECT_EQ(groups[2].length(), 32U);
-  ASSERT_EQ(groups[0].size(), 2U);
-  ASSERT_EQ(groups[1].size(), 2U);
-  ASSERT_EQ(groups[2].size(), 1U);
-  EXPECT_EQ(groups[0].source_index(0), 0U);
-  EXPECT_EQ(groups[0].source_index(1), 2U);
-  EXPECT_EQ(groups[1].source_index(0), 1U);
-  EXPECT_EQ(groups[1].source_index(1), 4U);
-  EXPECT_EQ(groups[2].source_index(0), 3U);
-
-  // Every lane of every group still matches its source code's ShiftTable.
-  const BitVector buffer = random_bits(rng, 300);
-  for (const BatchShiftTable& group : groups) {
-    for (std::size_t lane = 0; lane < group.size(); ++lane) {
-      const ShiftTable table(codes[group.source_index(lane)]);
-      for (std::size_t offset = 0; offset + group.length() <= buffer.size(); ++offset) {
-        ASSERT_EQ(group.hamming_lane(lane, buffer, offset), table.hamming(buffer, offset));
-      }
+// A uniform PreparedCodebook holds exactly one table, built at assign(),
+// whose lanes are the codebook's codes in order.
+TEST(BatchKernel, PreparedCodebookHoldsOneTableOverItsCodes) {
+  Rng rng(18);
+  const std::vector<SpreadCode> codes = random_codes(rng, 11, 100);
+  const PreparedCodebook codebook{codes};
+  const BatchShiftTable& table = codebook.table();
+  ASSERT_EQ(codebook.batch_tables().size(), 1U);
+  EXPECT_EQ(&codebook.batch_tables()[0], &table);
+  ASSERT_EQ(table.size(), codes.size());
+  EXPECT_EQ(table.length(), 100U);
+  const BitVector buffer = random_bits(rng, 100 + 130);
+  for (std::size_t c = 0; c < codes.size(); ++c) {
+    const ShiftTable reference(codes[c]);
+    for (std::size_t offset = 0; offset + 100 <= buffer.size(); ++offset) {
+      ASSERT_EQ(table.hamming_lane(c, buffer, offset), reference.hamming(buffer, offset))
+          << "c=" << c << " offset=" << offset;
     }
   }
 }
 
-// A PreparedCodebook over a mixed pool builds its groups without asserting
-// (scans still refuse mixed pools; the grouping itself must be safe).
-TEST(BatchKernel, MixedLengthPreparedCodebookBuildsGroups) {
+// A PreparedCodebook over a mixed pool is accepted without asserting but
+// builds no table: scans refuse mixed pools, so there is nothing to batch.
+TEST(BatchKernel, MixedLengthPreparedCodebookBuildsNoTable) {
   Rng rng(15);
   std::vector<SpreadCode> codes;
   codes.push_back(SpreadCode::random(rng, 64));
   codes.push_back(SpreadCode::random(rng, 96));
   const PreparedCodebook codebook{std::move(codes)};
   EXPECT_FALSE(codebook.uniform_lengths());
-  EXPECT_EQ(codebook.batch_tables().size(), 2U);
-  EXPECT_EQ(codebook.tables().size(), 2U);
+  EXPECT_EQ(codebook.size(), 2U);
+  EXPECT_TRUE(codebook.table().empty());
+  EXPECT_TRUE(codebook.batch_tables().empty());
 }
 
 /// Builds a buffer with `planted` messages spread by randomly chosen codes
@@ -299,9 +261,8 @@ TEST(BatchKernel, StartOffsetMatchesReference) {
 }
 
 // TSan target (CI runs -R BatchKernel under ThreadSanitizer): many threads
-// scan one shared PreparedCodebook whose batch tables build lazily on first
-// use — the double-checked build and the read-only SoA scans must be
-// race-free.
+// scan one shared PreparedCodebook, whose table was built at construction —
+// the lock-free read-only SoA scans must be race-free.
 TEST(BatchKernel, ConcurrentScansOverSharedCodebook) {
   Rng rng(17);
   const std::size_t n = 128;

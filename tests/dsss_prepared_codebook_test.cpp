@@ -1,9 +1,9 @@
-// PreparedCodebook cache correctness: scans over cached ShiftTables must be
+// PreparedCodebook cache correctness: scans over the cached table must be
 // bit-identical to the slice-based reference oracles at every offset —
 // including the resume offsets the recover-and-rescan loop uses — and the
-// cache must invalidate exactly when the codes change. The concurrency test
-// exercises the lazy double-checked table build from many threads (run under
-// the TSan CI job).
+// table must be rebuilt exactly when the codes change. The concurrency test
+// scans one shared codebook from many threads with no lock (run under the
+// TSan CI job).
 #include "dsss/prepared_codebook.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include "common/rng.hpp"
 #include "dsss/sliding_window.hpp"
 #include "dsss/spreader.hpp"
+#include "reference/sync_scan.hpp"
 
 namespace jrsnd::dsss {
 namespace {
@@ -138,15 +139,15 @@ TEST(PreparedCodebook, AssignIfChangedKeepsTablesForIdenticalCodes) {
   Rng rng(11);
   const std::vector<SpreadCode> codes = random_codes(rng, 3, 128);
   PreparedCodebook prepared(codes);
-  const ShiftTable* before = prepared.tables().data();
+  ASSERT_EQ(prepared.table().size(), 3u);
 
   EXPECT_FALSE(prepared.assign_if_changed(codes));
-  EXPECT_EQ(prepared.tables().data(), before) << "unchanged codebook must keep cached tables";
+  EXPECT_EQ(prepared.table().size(), 3u) << "unchanged codebook must keep its table";
 
   std::vector<SpreadCode> shrunk(codes.begin(), codes.end() - 1);
   EXPECT_TRUE(prepared.assign_if_changed(shrunk));
   EXPECT_EQ(prepared.size(), 2u);
-  EXPECT_EQ(prepared.tables().size(), 2u);
+  EXPECT_EQ(prepared.table().size(), 2u);
 }
 
 TEST(PreparedCodebook, EmptyCodebookScansFindNothing) {
@@ -158,10 +159,9 @@ TEST(PreparedCodebook, EmptyCodebookScansFindNothing) {
   EXPECT_TRUE(find_all_messages(buffer, empty, 4, 0.3).empty());
 }
 
-TEST(PreparedCodebook, ConcurrentScannersShareOneLazyBuild) {
-  // Many threads race the first tables() build and then scan; TSan verifies
-  // the double-checked construction, and every thread must see identical
-  // results.
+TEST(PreparedCodebook, ConcurrentScannersShareOneTable) {
+  // Many threads scan the one table built at construction; TSan verifies the
+  // lock-free reads, and every thread must see identical results.
   Rng rng(31);
   const std::size_t n = 128;
   const std::size_t message_bits = 3;
@@ -195,12 +195,12 @@ TEST(NodeCodebookCache, PrepareRefreshesOnlyOnChange) {
   const std::vector<SpreadCode> codes = random_codes(rng, 2, 64);
   NodeCodebookCache cache;
   const PreparedCodebook& first = cache.prepare(node_id(3), codes);
-  const ShiftTable* tables = first.tables().data();
+  EXPECT_EQ(first.table().size(), 2u);
 
-  // Same codes: same entry, same cached tables.
+  // Same codes: same entry, same cached table.
   const PreparedCodebook& again = cache.prepare(node_id(3), codes);
   EXPECT_EQ(&again, &first);
-  EXPECT_EQ(again.tables().data(), tables);
+  EXPECT_EQ(again.table().size(), 2u);
 
   // Different node: independent entry.
   const PreparedCodebook& other = cache.prepare(node_id(4), codes);
@@ -211,6 +211,7 @@ TEST(NodeCodebookCache, PrepareRefreshesOnlyOnChange) {
   const PreparedCodebook& refreshed = cache.prepare(node_id(3), changed);
   EXPECT_EQ(&refreshed, &first);
   EXPECT_EQ(refreshed.size(), 3u);
+  EXPECT_EQ(refreshed.table().size(), 3u);
 }
 
 }  // namespace

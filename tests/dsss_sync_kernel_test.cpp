@@ -5,10 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "dsss/sliding_window.hpp"
 #include "dsss/spread_code.hpp"
 #include "dsss/spreader.hpp"
+#include "reference/shift_table.hpp"
+#include "reference/sync_scan.hpp"
+#include "simd_backend_scope.hpp"
 
 namespace jrsnd::dsss {
 namespace {
@@ -98,21 +104,72 @@ TEST(SyncKernel, ShiftTablePerfectHitAndInverse) {
   EXPECT_DOUBLE_EQ(table.correlate(buffer, at + 512), -1.0);
 }
 
+// Despreading through the reference ShiftTable and through every lane of a
+// BatchShiftTable must match the SpreadCode path bit for bit: m = 1 (seven
+// padding lanes), m = 5 (a partial 8-lane block), and m = 20 (Table-I scale,
+// not a multiple of 8), on every backend, over a buffer whose damaged bit
+// windows fall inside (-tau, tau) and are erased.
 TEST(SyncKernel, DespreadViaShiftTableMatchesSpreadCodePath) {
-  Rng rng(6);
-  const SpreadCode code = SpreadCode::random(rng, 128);
-  const ShiftTable table(code);
-  const BitVector message = random_bits(rng, 20);
-  BitVector buffer = random_bits(rng, 77);
-  const std::size_t at = buffer.size();
-  buffer.append(spread(message, code));
-  buffer.append(random_bits(rng, 13));
+  constexpr std::size_t kN = 128;
+  constexpr std::size_t kBits = 20;
+  constexpr double kTau = 0.5;
+  // 51 of 128 chips flipped: correlation (128 - 102) / 128 ~ 0.2 -> erased.
+  // 10 flipped: ~0.84 -> still decodes to the sent bit.
+  constexpr std::size_t kErasingFlips = 51;
+  constexpr std::size_t kSurvivableFlips = 10;
+  const std::vector<std::size_t> erased = {1, 5, 9, 13, 17};
 
-  const DespreadResult via_code = despread(buffer, at, 20, code, 0.15);
-  const DespreadResult via_table = despread(buffer, at, 20, table, 0.15);
-  EXPECT_EQ(via_table.bits, via_code.bits);
-  EXPECT_EQ(via_table.erased_bits, via_code.erased_bits);
-  EXPECT_EQ(via_table.bits, message);
+  for (const SimdBackend backend : supported_backends()) {
+    const ScopedBackend scope(backend);
+    for (const std::size_t m : {1UL, 5UL, 20UL}) {
+      Rng rng(6 + m);
+      std::vector<SpreadCode> codes;
+      for (std::size_t i = 0; i < m; ++i) codes.push_back(SpreadCode::random(rng, kN));
+      const BatchShiftTable batch{std::span<const SpreadCode>(codes)};
+      std::vector<std::uint64_t> hams(batch.lane_count());
+
+      for (std::size_t lane = 0; lane < m; ++lane) {
+        const SpreadCode& code = codes[lane];
+        const ShiftTable table(code);
+        const BitVector message = random_bits(rng, kBits);
+        BitVector buffer = random_bits(rng, 77);  // unaligned start
+        const std::size_t at = buffer.size();
+        buffer.append(spread(message, code));
+        buffer.append(random_bits(rng, 13));
+        for (const std::size_t bit : erased) {
+          for (std::size_t chip = 0; chip < kErasingFlips; ++chip) {
+            buffer.flip(at + bit * kN + chip);
+          }
+        }
+        for (std::size_t chip = 0; chip < kSurvivableFlips; ++chip) {
+          buffer.flip(at + 2 * kN + chip);
+        }
+
+        const DespreadResult via_code = despread(buffer, at, kBits, code, kTau);
+        DespreadResult via_lane;
+        despread_into(buffer, at, kBits, batch, lane, kTau, via_lane);
+        const auto where = [&] {
+          return std::string(simd_backend_name(backend)) + " m=" + std::to_string(m) +
+                 " lane=" + std::to_string(lane);
+        };
+        EXPECT_EQ(via_code.erased_bits, erased) << where();
+        EXPECT_EQ(via_lane.bits, via_code.bits) << where();
+        EXPECT_EQ(via_lane.erased_bits, via_code.erased_bits) << where();
+
+        for (std::size_t bit = 0; bit < kBits; ++bit) {
+          const std::size_t offset = at + bit * kN;
+          const DespreadBit want = despread_bit(buffer, offset, code, kTau);
+          ASSERT_EQ(table.correlate(buffer, offset), want.correlation) << where();
+          ASSERT_EQ(batch.correlate_lane(lane, buffer, offset), want.correlation) << where();
+          batch.hamming_all(buffer, offset, hams);
+          ASSERT_EQ(hams[lane], table.hamming(buffer, offset)) << where() << " bit=" << bit;
+          if (!want.erased) {
+            EXPECT_EQ(via_lane.bits.get(bit), message.get(bit)) << where();
+          }
+        }
+      }
+    }
+  }
 }
 
 // --- kernel scan vs. reference oracle --------------------------------------

@@ -56,7 +56,7 @@ struct ChipWorld {
 
   [[nodiscard]] ChipPhy::Codebook codebook() {
     // Recomputes the usable-code list per call (revocations may shrink it
-    // mid-test); the cache rebuilds its ShiftTables only when it changed.
+    // mid-test); the cache rebuilds its table only when it changed.
     return [this](NodeId node) -> const dsss::PreparedCodebook& {
       std::vector<dsss::SpreadCode> codes;
       for (const CodeId c : nodes[raw(node)].usable_codes()) {

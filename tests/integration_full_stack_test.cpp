@@ -55,7 +55,7 @@ struct FullStack {
 
   core::ChipPhy::Codebook codebook() {
     // Called lazily per transmit (nodes are populated after phy's ctor);
-    // the cache rebuilds a node's ShiftTables only when its codes change.
+    // the cache rebuilds a node's table only when its codes change.
     return [this](NodeId node) -> const dsss::PreparedCodebook& {
       std::vector<dsss::SpreadCode> codes;
       for (const CodeId c : nodes[raw(node)].usable_codes()) {
